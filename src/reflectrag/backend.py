@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from ._http import RemoteServiceError, TransportError, post_json
+from ._http import MalformedResponseError, RemoteServiceError, TransportError, post_json
 from .prompts import PromptSegment, SegmentKind, prompt_fingerprint
 from .tokens import CONTROL_TOKENS
 
@@ -364,13 +364,16 @@ class RemoteBackend:
             "max_tokens": max_tokens,
         }
         with self._inflight:
-            body = post_json(
-                f"{self.endpoint}/v1/generate",
-                payload,
-                timeout=self.timeout,
-                max_retries=self.max_retries,
-                backoff=self.backoff,
-            )
+            try:
+                body = post_json(
+                    f"{self.endpoint}/v1/generate",
+                    payload,
+                    timeout=self.timeout,
+                    max_retries=self.max_retries,
+                    backoff=self.backoff,
+                )
+            except MalformedResponseError as exc:
+                raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
         try:
             result = GenerationResult(
                 tokens=tuple(str(t) for t in body["tokens"]),
@@ -379,7 +382,7 @@ class RemoteBackend:
                     {str(k): float(v) for k, v in c.items()} for c in body["candidates"]
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
         validate_generation_result(result, allowed_set)
         return result

@@ -223,7 +223,11 @@ def _build_engine(config: RunConfig, samples: list[QuerySample] | None = None) -
         config.pipeline.rerank is not None
         and config.pipeline.rerank.strategy is RerankStrategy.EXTERNAL
     ):
-        reranker = RemotePassageReranker(config.backend.endpoint)
+        reranker = RemotePassageReranker(
+            config.backend.endpoint,
+            timeout=config.backend.timeout,
+            max_retries=config.backend.max_retries,
+        )
     return ReflectiveEngine(
         backend=backend,
         kb=kb,
@@ -280,7 +284,11 @@ def cmd_index(args: argparse.Namespace) -> int:
     embedder = None
     if mode is not RetrievalMode.VISUAL:
         if args.embedder == "remote":
-            embedder = RemoteTextEmbedder(config.backend.endpoint)
+            embedder = RemoteTextEmbedder(
+                config.backend.endpoint,
+                timeout=config.backend.timeout,
+                max_retries=config.backend.max_retries,
+            )
         else:
             embedder = HashEmbedder(dim=kb.embedding_dim)
     index = build_index(kb, mode, embedder)

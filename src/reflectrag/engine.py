@@ -166,11 +166,6 @@ class PassageReranker(Protocol):
     def rerank(self, question: str, passages: Sequence[Passage]) -> Sequence[Passage]: ...
 
 
-class IdentityReranker:
-    def rerank(self, question: str, passages: Sequence[Passage]) -> Sequence[Passage]:
-        return list(passages)
-
-
 class RemotePassageReranker:
     """Client for an external re-ranking service (POST /v1/rerank).
 
@@ -198,7 +193,15 @@ class RemotePassageReranker:
             timeout=self.timeout,
             max_retries=self.max_retries,
         )
-        order = body["order"]
+        order = body.get("order")
+        if not (
+            isinstance(order, list)
+            and all(type(i) is int for i in order)
+            and sorted(order) == list(range(len(passages)))
+        ):
+            raise RerankerError(
+                f"reranker order {order!r} is not a permutation of range({len(passages)})"
+            )
         return [passages[i] for i in order]
 
 

@@ -1,32 +1,57 @@
 """In-process HTTP stub implementing the remote wire protocols for tests."""
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-Handler = Callable[[str, dict], tuple[int, dict]]
+Handler = Callable[[str, dict], tuple[int, "dict | bytes"]]
 
 
 class StubServer:
     """Serves POST requests through a user handler: (path, payload) -> (status, body).
 
-    Use as a context manager; ``endpoint`` is the base URL.
+    ``body`` is sent as JSON, or verbatim when it is ``bytes``. With
+    ``keep_alive`` the stub speaks HTTP/1.1 and keeps connections open
+    between requests; otherwise each response closes its connection.
+    ``connections`` counts the connections accepted. Use as a context
+    manager; ``endpoint`` is the base URL.
     """
 
-    def __init__(self, handler: Handler):
+    def __init__(self, handler: Handler, keep_alive: bool = False):
         self.handler = handler
         self.requests: list[tuple[str, dict]] = []
+        self.connections = 0
+        self._open: set[socket.socket] = set()
+        self._lock = threading.Lock()
         outer = self
 
         class _RequestHandler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1" if keep_alive else "HTTP/1.0"
+
+            def setup(self):
+                super().setup()
+                # Headers and body go out in separate writes; without this a
+                # keep-alive client waits out a delayed ACK on every response.
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with outer._lock:
+                    outer.connections += 1
+                    outer._open.add(self.connection)
+
+            def finish(self):
+                with outer._lock:
+                    outer._open.discard(self.connection)
+                super().finish()
+
             def do_POST(self):  # noqa: N802 (http.server API)
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 outer.requests.append((self.path, payload))
                 status, body = outer.handler(self.path, payload)
-                data = json.dumps(body).encode("utf-8")
+                data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -44,6 +69,14 @@ class StubServer:
         host, port = self._server.server_address[:2]
         return f"http://{host}:{port}"
 
+    def drop_connections(self) -> None:
+        """Close every open connection without notice, as an idle timeout does."""
+        with self._lock:
+            open_sockets = list(self._open)
+        for sock in open_sockets:
+            with contextlib.suppress(OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+
     def __enter__(self) -> "StubServer":
         self._thread.start()
         return self
@@ -51,3 +84,4 @@ class StubServer:
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
         self._server.server_close()
+        self.drop_connections()

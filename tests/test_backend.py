@@ -240,6 +240,20 @@ class TestRemoteBackend:
             with pytest.raises(ProtocolViolationError, match="malformed"):
                 backend.constrained_generate(DECISION_PROMPT)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<html>502 Bad Gateway</html>",
+            {"tokens": ["<RET>"], "chosen_logprobs": [0.0], "candidates": ["<RET>"]},
+        ],
+        ids=["body-not-json", "candidate-not-a-dict"],
+    )
+    def test_garbled_response_is_protocol_violation(self, body):
+        with StubServer(lambda p, b: (200, body)) as server:
+            backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+            with pytest.raises(ProtocolViolationError, match="malformed"):
+                backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
+
     def test_retries_then_succeeds(self):
         state = {"calls": 0}
 

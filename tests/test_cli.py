@@ -1,10 +1,15 @@
 import json
+import time
 
 import pytest
 
-from reflectrag.cli import build_parser, main
+from reflectrag._http import TransportError
+from reflectrag.cli import _build_engine, build_parser, load_run_config, main
+from reflectrag.index import EmbedderError
+from reflectrag.kb import Passage
 
 from conftest import doc_record, write_kb_file
+from stub_server import StubServer
 
 
 def run(argv):
@@ -80,6 +85,34 @@ class TestIndexCommand:
             "--out", tmp_path / "out",
         ])
         assert code == 0
+
+
+def test_remote_reranker_and_embedder_use_configured_timeout_and_retries(
+    plant_kb_path, tmp_path
+):
+    def slow(path, payload):
+        time.sleep(1.0)
+        return 200, {"embeddings": [[1.0, 0.0, 0.0, 0.0]], "order": [0]}
+
+    with StubServer(slow) as server:
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "backend": {
+                "kind": "remote", "endpoint": server.endpoint,
+                "timeout": 0.2, "max_retries": 1,
+            },
+            "pipeline": {"rerank": {"strategy": "external", "top_passages": 1}},
+        }))
+        with pytest.raises(EmbedderError, match="after 1 attempt"):
+            run([
+                "index", "--config", config_path, "--kb", plant_kb_path,
+                "--mode", "textual-title", "--embedder", "remote",
+                "--out", tmp_path / "out",
+            ])
+        reranker = _build_engine(load_run_config(config_path)).reranker
+        with pytest.raises(TransportError, match="after 1 attempt"):
+            reranker.rerank("q", [Passage("d", 0, "p")])
+        assert [path for path, _ in server.requests] == ["/v1/embed", "/v1/rerank"]
 
 
 class TestAnswerCommand:

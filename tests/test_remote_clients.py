@@ -65,13 +65,12 @@ def test_remote_reranker_round_trip_and_validation():
         reordered = apply_external_reranker(reranker, make_sample(), passages)
     assert [p.section_index for p in reordered] == [2, 0, 1]
 
-    def bad_handler(path, payload):
-        return 200, {"order": [0, 0, 1]}  # duplicates an entry
-
-    with StubServer(bad_handler) as server:
-        reranker = RemotePassageReranker(server.endpoint, timeout=5, max_retries=1)
-        with pytest.raises(RerankerError, match="multiset"):
-            apply_external_reranker(reranker, make_sample(), passages)
+    # A duplicated entry, and negative indices that would wrap around.
+    for bad_order in ([0, 0, 1], [-1, -2, -3]):
+        with StubServer(lambda p, b: (200, {"order": bad_order})) as server:
+            reranker = RemotePassageReranker(server.endpoint, timeout=5, max_retries=1)
+            with pytest.raises(RerankerError, match="not a permutation"):
+                apply_external_reranker(reranker, make_sample(), passages)
 
 
 def test_remote_judge_round_trip():
