@@ -16,12 +16,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 import protocol_suite  # noqa: E402
 
 from reflectrag.engine import PipelineConfig, write_traces  # noqa: E402
-from reflectrag.harness import (  # noqa: E402
-    AblationName,
-    AblationVariant,
-    run_ablation,
-    variant_config,
-)
+from reflectrag.harness import AblationName, evaluate_dataset, variant_config  # noqa: E402
 from reflectrag.index import RetrievalMode, build_index  # noqa: E402
 from reflectrag.prompts import PromptStage, build_prompt, segments_to_dicts  # noqa: E402
 from reflectrag.engine import ReflectiveEngine  # noqa: E402
@@ -81,10 +76,12 @@ def golden_eval() -> None:
         backend, kb=suite.kb, index=index, similarity_scorer=LexicalOverlapScorer()
     )
     base = PipelineConfig(top_k_docs=5, seed=EVAL_SEED)
-    variants = [
-        AblationVariant(name, variant_config(name, base)) for name in AblationName
-    ]
-    reports = run_ablation(engine, suite.samples, variants, jobs=1)
+    reports = {}
+    for name in AblationName:
+        run = evaluate_dataset(engine, suite.samples, variant_config(name, base), jobs=1)
+        if run.failures:
+            raise SystemExit(f"variant {name.value}: {len(run.failures)} samples failed")
+        reports[name.value] = run.report
     golden = {
         name: {
             "vqa_accuracy": report.metrics["vqa_accuracy"].value,

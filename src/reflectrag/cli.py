@@ -33,13 +33,16 @@ from .engine import (
     PipelineError,
     RemotePassageReranker,
     RerankConfig,
+    RerankerError,
     RerankStrategy,
     ReflectiveEngine,
     SelectionMode,
     write_traces,
 )
-from .harness import AblationName, AblationVariant, variant_config
+from ._http import RemoteServiceError, TransportError
+from .harness import AblationName, variant_config
 from .index import (
+    EmbedderError,
     HashEmbedder,
     RemoteTextEmbedder,
     RetrievalMode,
@@ -51,7 +54,7 @@ from .kb import KBLoadError, load_kb
 from .samples import QuerySample, SampleError, load_samples
 from .similarity import LexicalOverlapScorer
 from .synth import RuleBackend
-from .util import atomic_write_text
+from .util import atomic_write_text, dataclass_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -87,52 +90,28 @@ class RunConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
-def _pipeline_from_dict(obj: dict, seed: int) -> PipelineConfig:
-    rerank = obj.get("rerank")
-    rerank_cfg = (
-        None
-        if rerank is None
-        else RerankConfig(
-            strategy=RerankStrategy(rerank["strategy"]),
-            top_passages=int(rerank["top_passages"]),
-        )
-    )
-    force = obj.get("force_decision")
-    return PipelineConfig(
-        top_k_docs=int(obj.get("top_k_docs", 5)),
-        rerank=rerank_cfg,
-        selection=SelectionMode(obj.get("selection", "reflective")),
-        random_passages_per_doc=int(obj.get("random_passages_per_doc", 2)),
-        external_scorer_top=int(obj.get("external_scorer_top", 2)),
-        max_relevant=obj.get("max_relevant"),
-        force_decision=None if force is None else ForcedDecision(force),
-        seed=seed,
+def _backend_from_dict(obj: dict) -> BackendSpec:
+    return dataclass_from_dict(
+        BackendSpec, obj, {"timeout": float, "max_retries": int, "max_inflight": int}
     )
 
 
 def load_run_config(path: str | Path | None) -> RunConfig:
-    config = RunConfig()
+    """Read a JSON run config; the top-level ``seed`` is the pipeline's seed."""
     if path is None:
-        return config
+        return RunConfig()
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    backend = obj.get("backend", {})
-    config = RunConfig(
-        kb_path=obj.get("kb_path"),
-        index_path=obj.get("index_path"),
-        dataset_path=obj.get("dataset_path"),
-        backend=BackendSpec(
-            kind=backend.get("kind", "mock"),
-            script_path=backend.get("script_path"),
-            endpoint=backend.get("endpoint", "http://localhost:8008"),
-            timeout=float(backend.get("timeout", 60.0)),
-            max_retries=int(backend.get("max_retries", 3)),
-            max_inflight=int(backend.get("max_inflight", 8)),
-        ),
-        seed=int(obj.get("seed", 0)),
-        jobs=int(obj.get("jobs", 0)),
-        output_dir=obj.get("output_dir", "out"),
+    config = dataclass_from_dict(
+        RunConfig,
+        obj,
+        {
+            "backend": _backend_from_dict,
+            "pipeline": PipelineConfig.from_dict,
+            "seed": int,
+            "jobs": int,
+        },
     )
-    config.pipeline = _pipeline_from_dict(obj.get("pipeline", {}), config.seed)
+    config.pipeline = dataclasses.replace(config.pipeline, seed=config.seed)
     return config
 
 
@@ -248,8 +227,7 @@ def _out_dir(config: RunConfig) -> Path:
 # --------------------------------------------------------------------------
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     kb = load_kb(args.kb_jsonl)
     missing_embeddings = sum(
         1 for d in kb.documents.values() if d.image_embedding is None
@@ -275,8 +253,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_index(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.kb_path:
         raise ConfigurationError("index requires --kb")
     kb = load_kb(config.kb_path)
@@ -299,8 +276,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_answer(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_answer(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path:
         raise ConfigurationError("answer requires --dataset")
     samples = load_samples(config.dataset_path)
@@ -328,8 +304,7 @@ def _parse_variants(raw: str | None) -> list[AblationName]:
     return [AblationName(v.strip()) for v in raw.split(",") if v.strip()]
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path:
         raise ConfigurationError("eval requires --dataset")
     samples = load_samples(config.dataset_path)
@@ -337,22 +312,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     jobs = config.effective_jobs()
     out_dir = _out_dir(config)
 
-    variants = [
-        AblationVariant(name, variant_config(name, config.pipeline))
-        for name in _parse_variants(args.variants)
-    ]
+    variants = _parse_variants(args.variants)
     reports: dict[str, harness.EvalReport] = {}
     failures: list[tuple[str, str]] = []
-    for variant in variants:
+    for name in variants:
+        # Write and drop each variant's traces before the next variant runs,
+        # so at most one variant's traces are held in memory.
         run = harness.evaluate_dataset(
-            engine, samples, variant.config, jobs=jobs, rel_tol=args.rel_tol,
-            include_timings=not args.no_timings,
+            engine, samples, variant_config(name, config.pipeline), jobs=jobs,
+            rel_tol=args.rel_tol, include_timings=not args.no_timings,
         )
-        reports[variant.name.value] = run.report
-        failures.extend((f"{variant.name.value}:{sid}", err) for sid, err in run.failures)
-        write_traces(
-            run.traces, out_dir / f"traces_{variant.name.value}.jsonl"
-        )
+        reports[name.value] = run.report
+        failures.extend((f"{name.value}:{sid}", err) for sid, err in run.failures)
+        write_traces(run.traces, out_dir / f"traces_{name.value}.jsonl")
+        del run
     harness.write_report(out_dir / "eval_report.json", reports, seed=config.seed)
     if args.csv:
         atomic_write_text(out_dir / "eval_report.csv", harness.reports_to_csv(reports))
@@ -368,8 +341,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_mine(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path or not config.kb_path:
         raise ConfigurationError("mine requires --dataset and --kb")
     samples = load_samples(config.dataset_path)
@@ -410,8 +382,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_rerank_sweep(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_rerank_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path:
         raise ConfigurationError("rerank-sweep requires --dataset")
     samples = load_samples(config.dataset_path)
@@ -459,8 +430,7 @@ def cmd_rerank_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_token_acc(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_run_config(args.config), args)
+def cmd_token_acc(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path:
         raise ConfigurationError("token-acc requires --dataset")
     samples = load_samples(config.dataset_path)
@@ -584,13 +554,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config = _apply_overrides(load_run_config(args.config), args)
+        return args.func(args, config)
     except (
         ConfigurationError,
         KBLoadError,
         SampleError,
         BackendError,
         PipelineError,
+        RerankerError,
+        EmbedderError,
+        TransportError,
+        RemoteServiceError,
         forge.DataForgeError,
         FileNotFoundError,
         ValueError,

@@ -12,7 +12,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -22,11 +22,11 @@ from collections import Counter
 from .backend import BackendError, GenerativeBackend, ProtocolViolationError
 from .index import DenseIndex, RetrievalHit, candidate_passages, search
 from .kb import KnowledgeBase, Passage, passages_of
-from .prompts import PromptSegment, PromptStage, build_prompt as build_prompt_segments
+from .prompts import PromptStage, build_prompt as build_prompt_segments
 from .samples import QuerySample
 from .similarity import TextSimilarityScorer
 from .tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
-from .util import atomic_write_bytes, json_line
+from .util import atomic_write_bytes, dataclass_from_dict, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -59,9 +59,17 @@ class RerankStrategy(str, Enum):
     EXTERNAL = "external"  # dedicated reranker service reorders candidates
 
 
-class OnRerankFailure(str, Enum):
-    FAIL = "fail"
-    KEEP_ORIGINAL = "keep_original"
+def _fields_to_dict(config) -> dict:
+    """A config dataclass as plain JSON values, in field order."""
+    out = {}
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, Enum):
+            value = value.value
+        elif isinstance(value, RerankConfig):
+            value = value.to_dict()
+        out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -72,6 +80,15 @@ class RerankConfig:
     def __post_init__(self):
         if self.top_passages < 1:
             raise ConfigurationError("rerank top_passages must be >= 1")
+
+    def to_dict(self) -> dict:
+        return _fields_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> RerankConfig:
+        return dataclass_from_dict(
+            cls, obj, {"strategy": RerankStrategy, "top_passages": int}
+        )
 
 
 @dataclass(frozen=True)
@@ -97,25 +114,31 @@ class PipelineConfig:
             raise ConfigurationError("top_k_docs must be >= 1")
         if self.max_relevant is not None and self.max_relevant < 1:
             raise ConfigurationError("max_relevant must be >= 1 when set")
+        if self.random_passages_per_doc < 1:
+            raise ConfigurationError("random_passages_per_doc must be >= 1")
+        if self.external_scorer_top < 1:
+            raise ConfigurationError("external_scorer_top must be >= 1")
 
     def to_dict(self) -> dict:
-        return {
-            "top_k_docs": self.top_k_docs,
-            "rerank": None
-            if self.rerank is None
-            else {
-                "strategy": self.rerank.strategy.value,
-                "top_passages": self.rerank.top_passages,
+        return _fields_to_dict(self)
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> PipelineConfig:
+        """Inverse of :meth:`to_dict`; missing keys take the defaults."""
+        return dataclass_from_dict(
+            cls,
+            obj,
+            {
+                "top_k_docs": int,
+                "rerank": RerankConfig.from_dict,
+                "selection": SelectionMode,
+                "random_passages_per_doc": int,
+                "external_scorer_top": int,
+                "max_relevant": int,
+                "force_decision": ForcedDecision,
+                "seed": int,
             },
-            "selection": self.selection.value,
-            "random_passages_per_doc": self.random_passages_per_doc,
-            "external_scorer_top": self.external_scorer_top,
-            "max_relevant": self.max_relevant,
-            "force_decision": None
-            if self.force_decision is None
-            else self.force_decision.value,
-            "seed": self.seed,
-        }
+        )
 
 
 @dataclass(frozen=True)
@@ -285,19 +308,15 @@ def apply_external_reranker(
     reranker: PassageReranker,
     sample: QuerySample,
     candidates: Sequence[Passage],
-    on_failure: OnRerankFailure = OnRerankFailure.FAIL,
 ) -> list[Passage]:
     """Reorder candidates through an external service.
 
     The service may only permute: a changed passage multiset is an error.
-    Service failures follow ``on_failure`` (fail by default).
+    A service failure raises :class:`RerankerError`.
     """
     try:
         reordered = list(reranker.rerank(sample.question, candidates))
     except Exception as exc:
-        if on_failure is OnRerankFailure.KEEP_ORIGINAL:
-            logger.warning("reranker failed (%s); keeping original order", exc)
-            return list(candidates)
         raise RerankerError(f"reranker service failed: {exc}") from exc
     if Counter(p.key for p in reordered) != Counter(p.key for p in candidates):
         raise RerankerError("reranker changed passage multiset")
@@ -346,14 +365,12 @@ class ReflectiveEngine:
         index: DenseIndex | None = None,
         similarity_scorer: TextSimilarityScorer | None = None,
         reranker: PassageReranker | None = None,
-        rerank_failure_policy: OnRerankFailure = OnRerankFailure.FAIL,
     ):
         self.backend = backend
         self.kb = kb
         self.index = index
         self.similarity_scorer = similarity_scorer
         self.reranker = reranker
-        self.rerank_failure_policy = rerank_failure_policy
 
     # -- phases ------------------------------------------------------------
 
@@ -497,9 +514,9 @@ class ReflectiveEngine:
         if config.rerank is not None and config.rerank.strategy is RerankStrategy.EXTERNAL:
             if self.reranker is None:
                 raise ConfigurationError("external re-ranking requires a reranker")
-            candidates = apply_external_reranker(
-                self.reranker, sample, candidates, self.rerank_failure_policy
-            )[: config.rerank.top_passages]
+            candidates = apply_external_reranker(self.reranker, sample, candidates)[
+                : config.rerank.top_passages
+            ]
         timings["retrieve"] = time.perf_counter() - t0
         if not candidates:
             raise PipelineError(
@@ -548,15 +565,6 @@ class ReflectiveEngine:
             raise ConfigurationError("oracle mode requires a knowledge base")
         self.kb.document(gold_doc_id)  # raises LookupError for unknown ids
         return self._run(sample, config, oracle_doc_id=gold_doc_id)
-
-    def build_prompt(
-        self,
-        stage: PromptStage,
-        sample: QuerySample,
-        passages: Sequence[Passage] | None = None,
-    ) -> list[PromptSegment]:
-        texts = None if passages is None else [p.text for p in passages]
-        return build_prompt_segments(stage, sample.question, sample.image_ref, texts)
 
 
 # --------------------------------------------------------------------------

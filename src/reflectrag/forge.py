@@ -212,7 +212,10 @@ class RemoteAnnotator:
             timeout=self.timeout,
             max_retries=self.max_retries,
         )
-        return bool(body["relevant"])
+        relevant = body.get("relevant")
+        if type(relevant) is not bool:
+            raise ValueError(f"annotator 'relevant' must be a JSON boolean, got {relevant!r}")
+        return relevant
 
 
 # --------------------------------------------------------------------------

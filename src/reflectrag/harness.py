@@ -12,7 +12,7 @@ import io
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Sequence
@@ -53,47 +53,36 @@ class AblationName(str, Enum):
     NO_KB = "no_kb"
 
 
+# Per variant: the fields it keeps from the base config and the fields it
+# sets. Every other field except ``top_k_docs`` and ``seed`` takes its default.
+_VARIANTS: dict[AblationName, tuple[tuple[str, ...], dict]] = {
+    AblationName.ALWAYS_RET: (
+        ("rerank", "max_relevant"),
+        {"force_decision": ForcedDecision.ALWAYS_RET},
+    ),
+    AblationName.EXTERNAL_SCORER_PASSAGES: (
+        ("external_scorer_top",),
+        {"selection": SelectionMode.EXTERNAL_SCORER},
+    ),
+    AblationName.RANDOM_PASSAGES_NOREL: (
+        ("random_passages_per_doc",),
+        {"selection": SelectionMode.RANDOM_PER_DOC},
+    ),
+    AblationName.NO_KB: ((), {"force_decision": ForcedDecision.ALWAYS_NORET}),
+}
+
+
 def variant_config(name: AblationName, base: PipelineConfig) -> PipelineConfig:
     """Fixed name-to-config mapping; every variant is config-only."""
     name = AblationName(name)
     if name is AblationName.FULL:
         return base
-    if name is AblationName.ALWAYS_RET:
-        return PipelineConfig(
-            top_k_docs=base.top_k_docs,
-            rerank=base.rerank,
-            selection=SelectionMode.REFLECTIVE,
-            max_relevant=base.max_relevant,
-            force_decision=ForcedDecision.ALWAYS_RET,
-            seed=base.seed,
-        )
-    if name is AblationName.EXTERNAL_SCORER_PASSAGES:
-        return PipelineConfig(
-            top_k_docs=base.top_k_docs,
-            selection=SelectionMode.EXTERNAL_SCORER,
-            external_scorer_top=base.external_scorer_top,
-            seed=base.seed,
-        )
-    if name is AblationName.RANDOM_PASSAGES_NOREL:
-        return PipelineConfig(
-            top_k_docs=base.top_k_docs,
-            selection=SelectionMode.RANDOM_PER_DOC,
-            random_passages_per_doc=base.random_passages_per_doc,
-            seed=base.seed,
-        )
-    if name is AblationName.NO_KB:
-        return PipelineConfig(
-            top_k_docs=base.top_k_docs,
-            force_decision=ForcedDecision.ALWAYS_NORET,
-            seed=base.seed,
-        )
-    raise ValueError(f"unknown ablation variant {name!r}")
-
-
-@dataclass(frozen=True)
-class AblationVariant:
-    name: AblationName
-    config: PipelineConfig
+    keep, sets = _VARIANTS[name]
+    return replace(
+        PipelineConfig(top_k_docs=base.top_k_docs, seed=base.seed),
+        **{field: getattr(base, field) for field in keep},
+        **sets,
+    )
 
 
 @dataclass(frozen=True)
@@ -249,24 +238,6 @@ def evaluate_dataset(
         raise RuntimeError("every sample failed; no report to produce")
     report = evaluate_traces(traces, ordered, rel_tol)
     return EvalRun(report=report, traces=traces, failures=failures)
-
-
-def run_ablation(
-    engine: ReflectiveEngine,
-    samples: Sequence[QuerySample],
-    variants: Sequence[AblationVariant],
-    jobs: int = 1,
-    rel_tol: float = 0.05,
-) -> dict[str, EvalReport]:
-    reports: dict[str, EvalReport] = {}
-    for variant in variants:
-        run = evaluate_dataset(engine, samples, variant.config, jobs, rel_tol)
-        if run.failures:
-            raise RuntimeError(
-                f"variant {variant.name.value}: {len(run.failures)} samples failed"
-            )
-        reports[variant.name.value] = run.report
-    return reports
 
 
 # --------------------------------------------------------------------------

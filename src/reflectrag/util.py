@@ -1,12 +1,16 @@
-"""Shared helpers: canonical JSON, stable hashing, atomic file writes."""
+"""Shared helpers: canonical JSON, stable hashing, atomic file writes,
+config dataclasses from JSON objects."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, TypeVar
+
+T = TypeVar("T")
 
 
 def canonical_json(obj: Any) -> str:
@@ -45,3 +49,28 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def dataclass_from_dict(cls: type[T], obj: dict, parsers: dict[str, Callable]) -> T:
+    """Build dataclass ``cls`` from the JSON object ``obj``.
+
+    Missing keys take the field defaults and unknown keys are ignored. A
+    value goes through ``parsers[name]`` when there is one, except ``None``
+    for a field whose default is ``None``. A value a parser rejects raises
+    ``ValueError`` naming the field.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__}: expected a JSON object, got {obj!r}")
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in obj:
+            continue
+        value = obj[f.name]
+        parse = parsers.get(f.name)
+        if parse is not None and not (value is None and f.default is None):
+            try:
+                value = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{cls.__name__}.{f.name}: bad value {value!r}: {exc}") from exc
+        kwargs[f.name] = value
+    return cls(**kwargs)

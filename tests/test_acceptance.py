@@ -36,12 +36,7 @@ from reflectrag.forge import (
     build_stage2_dataset,
     save_sequences,
 )
-from reflectrag.harness import (
-    AblationName,
-    AblationVariant,
-    run_ablation,
-    variant_config,
-)
+from reflectrag.harness import AblationName, evaluate_dataset, variant_config
 from reflectrag.index import DenseIndex, RetrievalMode, build_index, recall_at_k, search
 from reflectrag.kb import Passage, passages_of
 from reflectrag.metrics import (
@@ -444,10 +439,11 @@ def test_end_to_end_eval(golden_dir):
         backend, kb=suite.kb, index=index, similarity_scorer=LexicalOverlapScorer()
     )
     base = PipelineConfig(top_k_docs=5, seed=EVAL_SEED)
-    variants = [
-        AblationVariant(name, variant_config(name, base)) for name in AblationName
-    ]
-    reports = run_ablation(engine, suite.samples, variants, jobs=4)
+    reports = {}
+    for name in AblationName:
+        run = evaluate_dataset(engine, suite.samples, variant_config(name, base), jobs=4)
+        assert run.failures == [], name
+        reports[name.value] = run.report
 
     golden = json.loads((golden_dir / "eval_golden.json").read_text())
     assert set(reports) == set(golden)

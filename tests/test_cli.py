@@ -5,7 +5,6 @@ import pytest
 
 from reflectrag._http import TransportError
 from reflectrag.cli import _build_engine, build_parser, load_run_config, main
-from reflectrag.index import EmbedderError
 from reflectrag.kb import Passage
 
 from conftest import doc_record, write_kb_file
@@ -88,7 +87,7 @@ class TestIndexCommand:
 
 
 def test_remote_reranker_and_embedder_use_configured_timeout_and_retries(
-    plant_kb_path, tmp_path
+    plant_kb_path, tmp_path, capsys
 ):
     def slow(path, payload):
         time.sleep(1.0)
@@ -103,12 +102,13 @@ def test_remote_reranker_and_embedder_use_configured_timeout_and_retries(
             },
             "pipeline": {"rerank": {"strategy": "external", "top_passages": 1}},
         }))
-        with pytest.raises(EmbedderError, match="after 1 attempt"):
-            run([
-                "index", "--config", config_path, "--kb", plant_kb_path,
-                "--mode", "textual-title", "--embedder", "remote",
-                "--out", tmp_path / "out",
-            ])
+        code = run([
+            "index", "--config", config_path, "--kb", plant_kb_path,
+            "--mode", "textual-title", "--embedder", "remote",
+            "--out", tmp_path / "out",
+        ])
+        assert code == 2
+        assert "after 1 attempt" in capsys.readouterr().err
         reranker = _build_engine(load_run_config(config_path)).reranker
         with pytest.raises(TransportError, match="after 1 attempt"):
             reranker.rerank("q", [Passage("d", 0, "p")])
@@ -165,6 +165,31 @@ class TestAnswerCommand:
         )
         assert trace["hits"] == []  # oracle mode skips search entirely
         assert trace["judgments"][0]["doc_id"] == "prunus-laurocerasus"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--backend", "remote"], "after 1 attempt"),
+        (["--rerank", "external", "--kp", 1], "reranker service failed"),
+    ])
+    def test_dead_remote_service_exits_2(
+        self, flags, message, plant_kb_path, plant_samples_path, plant_scripts_path,
+        tmp_path, capsys,
+    ):
+        index = self.build_index(plant_kb_path, tmp_path)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"backend": {"max_retries": 1}}))
+        capsys.readouterr()
+        code = run([
+            "answer", "--config", config_path, "--kb", plant_kb_path,
+            "--index", index, "--dataset", plant_samples_path,
+            "--sample-id", "plant-001", "--scripts", plant_scripts_path,
+            "--endpoint", "http://127.0.0.1:1", "--out", tmp_path / "out", *flags,
+        ])
+        assert code == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error: ")
+        ]
+        assert len(errors) == 1 and message in errors[0]
 
     def test_unknown_sample_exits_2(self, plant_kb_path, plant_samples_path, plant_scripts_path, tmp_path, capsys):
         code = run([
@@ -308,6 +333,56 @@ class TestConfigPrecedence:
         )
         assert trace["config"]["top_k_docs"] == 2  # config file beats default
         assert trace["config"]["seed"] == 17
+
+    def test_pipeline_block_and_flag_override_land_in_trace(self, synthetic_files, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "backend": {"kind": "rule"},
+            "pipeline": {
+                "top_k_docs": 3, "max_relevant": "2", "external_scorer_top": 4,
+                "rerank": {"strategy": "builtin", "top_passages": 2},
+            },
+            "seed": 5,
+        }))
+        assert load_run_config(config_path).pipeline.max_relevant == 2
+        out = tmp_path / "out"
+        code = run([
+            "eval", "--config", config_path, "--kb", synthetic_files.kb,
+            "--index", synthetic_files.index, "--dataset", synthetic_files.dataset,
+            "--max-relevant", 1, "--out", out, "--no-timings",
+        ])
+        assert code == 0
+        trace = json.loads((out / "traces_full.jsonl").read_text().splitlines()[0])
+        assert trace["config"] == {
+            "top_k_docs": 3,
+            "rerank": {"strategy": "builtin", "top_passages": 2},
+            "selection": "reflective",
+            "random_passages_per_doc": 2,
+            "external_scorer_top": 4,
+            "max_relevant": 1,
+            "force_decision": None,
+            "seed": 5,
+        }
+
+    @pytest.mark.parametrize("pipeline", [
+        {"random_passages_per_doc": 0, "selection": "random_per_doc"},
+        {"external_scorer_top": -1, "selection": "external_scorer"},
+        {"top_k_docs": "many"},
+    ])
+    def test_bad_pipeline_block_exits_2_before_any_sample(
+        self, pipeline, synthetic_files, tmp_path, capsys
+    ):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"pipeline": pipeline}))
+        out = tmp_path / "out"
+        code = run([
+            "eval", "--config", config_path, "--kb", synthetic_files.kb,
+            "--index", synthetic_files.index, "--dataset", synthetic_files.dataset,
+            "--backend", "rule", "--out", out,
+        ])
+        assert code == 2
+        assert next(iter(pipeline)) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestPartialFailure:

@@ -10,7 +10,6 @@ from reflectrag.backend import MockBackend, ScriptedResponse, match_user_text
 from reflectrag.engine import (
     ConfigurationError,
     ForcedDecision,
-    OnRerankFailure,
     PipelineConfig,
     PipelineError,
     RelevanceJudgment,
@@ -211,10 +210,6 @@ class TestExternalReranker:
         broken = type("B", (), {"rerank": staticmethod(explode)})()
         with pytest.raises(RerankerError, match="failed"):
             apply_external_reranker(broken, make_sample(), self.passages)
-        kept = apply_external_reranker(
-            broken, make_sample(), self.passages, OnRerankFailure.KEEP_ORIGINAL
-        )
-        assert kept == self.passages
 
 
 class TestPipelineBranches:
@@ -323,6 +318,55 @@ class TestPipelineBranches:
         ]
 
 
+pipeline_configs = st.builds(
+    PipelineConfig,
+    top_k_docs=st.integers(1, 50),
+    rerank=st.none() | st.builds(
+        RerankConfig, st.sampled_from(RerankStrategy), st.integers(1, 20)
+    ),
+    selection=st.sampled_from(SelectionMode),
+    random_passages_per_doc=st.integers(1, 5),
+    external_scorer_top=st.integers(1, 5),
+    max_relevant=st.none() | st.integers(1, 10),
+    force_decision=st.none() | st.sampled_from(ForcedDecision),
+    seed=st.integers(-(2**31), 2**31),
+)
+
+
+class TestConfigDict:
+    @given(pipeline_configs)
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, config):
+        assert PipelineConfig.from_dict(config.to_dict()) == config
+
+    def test_missing_keys_take_defaults_and_values_are_coerced(self):
+        assert PipelineConfig.from_dict({}) == PipelineConfig()
+        config = PipelineConfig.from_dict({
+            "top_k_docs": "3",
+            "max_relevant": "2",
+            "rerank": {"strategy": "external", "top_passages": "4"},
+            "force_decision": "always_ret",
+            "unknown": 1,
+        })
+        assert config == PipelineConfig(
+            top_k_docs=3,
+            max_relevant=2,
+            rerank=RerankConfig(RerankStrategy.EXTERNAL, 4),
+            force_decision=ForcedDecision.ALWAYS_RET,
+        )
+
+    @pytest.mark.parametrize("obj", [
+        {"top_k_docs": None},
+        {"selection": "bogus"},
+        {"max_relevant": [2]},
+        {"rerank": {"strategy": "builtin"}},
+        {"rerank": "builtin"},
+    ])
+    def test_bad_values_name_the_field(self, obj):
+        with pytest.raises(ValueError, match=next(iter(obj))):
+            PipelineConfig.from_dict(obj)
+
+
 class TestConfigurationErrors:
     def test_bad_config_values(self):
         with pytest.raises(ConfigurationError):
@@ -331,6 +375,11 @@ class TestConfigurationErrors:
             RerankConfig(RerankStrategy.BUILTIN, 0)
         with pytest.raises(ConfigurationError):
             PipelineConfig(max_relevant=0)
+        for value in (0, -1):
+            with pytest.raises(ConfigurationError, match="random_passages_per_doc"):
+                PipelineConfig(random_passages_per_doc=value)
+            with pytest.raises(ConfigurationError, match="external_scorer_top"):
+                PipelineConfig(external_scorer_top=value)
 
     def test_ret_without_index_is_configuration_error(self):
         backend = scripted_decision("Q?", 0.9)

@@ -5,21 +5,19 @@ import pytest
 from reflectrag.engine import PipelineConfig, ReflectiveEngine, write_traces, read_trace_dicts
 from reflectrag.harness import (
     AblationName,
-    AblationVariant,
     PassageExpectation,
     TokenExpectation,
     evaluate_dataset,
     evaluate_traces,
     load_expectations,
     reports_to_csv,
-    run_ablation,
     token_accuracy,
     variant_config,
 )
 from reflectrag.index import RetrievalMode, build_index
 from reflectrag.similarity import LexicalOverlapScorer
 from reflectrag.synth import RuleBackend, make_synthetic_suite
-from reflectrag.engine import ForcedDecision, SelectionMode
+from reflectrag.engine import ForcedDecision, RerankConfig, RerankStrategy, SelectionMode
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +131,49 @@ class TestAblations:
         for name in AblationName:
             assert variant_config(name, base).seed == 11
 
+    def test_variant_configs_pin_every_field(self):
+        # A base where every field differs from its default, so each variant
+        # shows which fields it keeps from the base and which it resets.
+        base = PipelineConfig(
+            top_k_docs=7,
+            rerank=RerankConfig(RerankStrategy.BUILTIN, 3),
+            selection=SelectionMode.EXTERNAL_SCORER,
+            random_passages_per_doc=3,
+            external_scorer_top=4,
+            max_relevant=2,
+            force_decision=ForcedDecision.ALWAYS_NORET,
+            seed=11,
+        )
+        reset = {
+            "top_k_docs": 7,
+            "rerank": None,
+            "selection": "reflective",
+            "random_passages_per_doc": 2,
+            "external_scorer_top": 2,
+            "max_relevant": None,
+            "force_decision": None,
+            "seed": 11,
+        }
+        expected = {
+            AblationName.FULL: base.to_dict(),
+            AblationName.ALWAYS_RET: {
+                **reset,
+                "rerank": {"strategy": "builtin", "top_passages": 3},
+                "max_relevant": 2,
+                "force_decision": "always_ret",
+            },
+            AblationName.EXTERNAL_SCORER_PASSAGES: {
+                **reset, "selection": "external_scorer", "external_scorer_top": 4,
+            },
+            AblationName.RANDOM_PASSAGES_NOREL: {
+                **reset, "selection": "random_per_doc", "random_passages_per_doc": 3,
+            },
+            AblationName.NO_KB: {**reset, "force_decision": "always_noret"},
+        }
+        assert set(expected) == set(AblationName)
+        for name, want in expected.items():
+            assert variant_config(name, base).to_dict() == want, name
+
     def test_no_kb_variant_selects_nothing(self, small_run):
         suite, engine = small_run
         config = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
@@ -155,25 +196,29 @@ class TestAblations:
             for doc_id, count in per_doc.items():
                 assert count == min(2, len(kb.documents[doc_id].sections))
 
+    @staticmethod
+    def run_variants(suite, engine, names):
+        reports = {}
+        for name in names:
+            config = variant_config(name, PipelineConfig(seed=3))
+            run = evaluate_dataset(engine, suite.samples, config)
+            assert run.failures == [], name
+            reports[name.value] = run.report
+        return reports
+
     def test_same_seed_identical_reports(self, small_run):
         suite, engine = small_run
-        variants = [
-            AblationVariant(name, variant_config(name, PipelineConfig(seed=3)))
-            for name in AblationName
-        ]
-        a = run_ablation(engine, suite.samples, variants)
-        b = run_ablation(engine, suite.samples, variants)
+        a = self.run_variants(suite, engine, AblationName)
+        b = self.run_variants(suite, engine, AblationName)
         assert {k: v.to_dict() for k, v in a.items()} == {
             k: v.to_dict() for k, v in b.items()
         }
 
     def test_csv_table(self, small_run):
         suite, engine = small_run
-        variants = [
-            AblationVariant(n, variant_config(n, PipelineConfig(seed=3)))
-            for n in (AblationName.FULL, AblationName.NO_KB)
-        ]
-        reports = run_ablation(engine, suite.samples, variants)
+        reports = self.run_variants(
+            suite, engine, (AblationName.FULL, AblationName.NO_KB)
+        )
         csv_text = reports_to_csv(reports)
         lines = csv_text.strip().splitlines()
         assert lines[0].startswith("variant,num_samples,vqa_accuracy")

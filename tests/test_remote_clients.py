@@ -52,6 +52,14 @@ def test_remote_annotator_round_trip():
         )
 
 
+@pytest.mark.parametrize("relevant", ["false", 0, 1, None])
+def test_remote_annotator_rejects_non_boolean_relevant(relevant):
+    with StubServer(lambda p, b: (200, {"relevant": relevant})) as server:
+        annotator = RemoteAnnotator(server.endpoint, timeout=5, max_retries=1)
+        with pytest.raises(ValueError, match="JSON boolean"):
+            annotator.is_relevant("q", ["a"], "passage")
+
+
 def test_remote_reranker_round_trip_and_validation():
     passages = [Passage("d", i, f"p{i}") for i in range(3)]
 
