@@ -90,9 +90,23 @@ class RunConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
+def _string(value):
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _backend_from_dict(obj: dict) -> BackendSpec:
     return dataclass_from_dict(
-        BackendSpec, obj, {"timeout": float, "max_retries": int, "max_inflight": int}
+        BackendSpec,
+        obj,
+        {
+            "script_path": _string,
+            "endpoint": _string,
+            "timeout": float,
+            "max_retries": int,
+            "max_inflight": int,
+        },
     )
 
 
@@ -105,10 +119,14 @@ def load_run_config(path: str | Path | None) -> RunConfig:
         RunConfig,
         obj,
         {
+            "kb_path": _string,
+            "index_path": _string,
+            "dataset_path": _string,
             "backend": _backend_from_dict,
             "pipeline": PipelineConfig.from_dict,
             "seed": int,
             "jobs": int,
+            "output_dir": _string,
         },
     )
     config.pipeline = dataclasses.replace(config.pipeline, seed=config.seed)

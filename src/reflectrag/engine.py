@@ -8,9 +8,11 @@ to re-execute the backend.
 """
 from __future__ import annotations
 
+import copy
 import json
 import logging
 import random
+import threading
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -20,7 +22,7 @@ from typing import Protocol, Sequence
 from collections import Counter
 
 from .backend import BackendError, GenerativeBackend, ProtocolViolationError
-from .index import DenseIndex, RetrievalHit, candidate_passages, search
+from .index import DenseIndex, RetrievalHit, candidate_passages, search, search_batch
 from .kb import KnowledgeBase, Passage, passages_of
 from .prompts import PromptStage, build_prompt as build_prompt_segments
 from .samples import QuerySample
@@ -355,6 +357,33 @@ def _answer(
     return result.text.strip()
 
 
+class _HitTable:
+    """Hits of a fixed set of samples, searched together on first use.
+
+    The first lookup runs one :func:`search_batch` over every sample under a
+    lock, so concurrent workers wait for that one burst instead of each
+    calling BLAS per sample.
+    """
+
+    def __init__(self, index: DenseIndex, samples: Sequence[QuerySample], k: int):
+        self._k = k
+        self._index = index
+        self._samples = samples
+        self._lock = threading.Lock()
+        self._hits: dict[QuerySample, list[RetrievalHit]] | None = None
+
+    def get(self, sample: QuerySample, k: int) -> list[RetrievalHit] | None:
+        if k != self._k:
+            return None
+        with self._lock:
+            if self._hits is None:
+                vectors = [s.image_embedding for s in self._samples]
+                self._hits = dict(
+                    zip(self._samples, search_batch(self._index, vectors, k))
+                )
+        return self._hits.get(sample)
+
+
 class ReflectiveEngine:
     """Wires a backend, a KB, an index, and optional providers together."""
 
@@ -371,6 +400,34 @@ class ReflectiveEngine:
         self.index = index
         self.similarity_scorer = similarity_scorer
         self.reranker = reranker
+        self._hit_table: _HitTable | None = None
+
+    def with_batched_search(
+        self, samples: Sequence[QuerySample], config: PipelineConfig
+    ) -> ReflectiveEngine:
+        """A copy that searches every sample of ``samples`` that can retrieve
+        in one batch, when the first of them retrieves.
+
+        A sample can retrieve when the index and KB are loaded, ``config``
+        does not force NORET and its embedding has the index's dimension.
+        Other samples still search one by one, and fail there as they would.
+        """
+        if (
+            self.index is None
+            or self.kb is None
+            or config.force_decision is ForcedDecision.ALWAYS_NORET
+        ):
+            return self
+        dim = (self.index.dim,)
+        ready = [
+            s for s in samples
+            if s.image_embedding is not None and s.image_embedding.shape == dim
+        ]
+        if not ready:
+            return self
+        engine = copy.copy(self)
+        engine._hit_table = _HitTable(self.index, ready, config.top_k_docs)
+        return engine
 
     # -- phases ------------------------------------------------------------
 
@@ -385,7 +442,11 @@ class ReflectiveEngine:
             raise ConfigurationError(
                 f"sample {sample.id!r} has no image embedding to query with"
             )
-        hits = search(self.index, sample.image_embedding, config.top_k_docs)
+        hits = None
+        if self._hit_table is not None:
+            hits = self._hit_table.get(sample, config.top_k_docs)
+        if hits is None:
+            hits = search(self.index, sample.image_embedding, config.top_k_docs)
         candidates = candidate_passages(self.kb, hits, config.top_k_docs)
         return hits, candidates
 

@@ -213,9 +213,12 @@ def evaluate_dataset(
     """Run the pipeline over a dataset and score the results.
 
     Samples run independently (optionally in parallel); traces are assembled
-    in sample-id order so concurrency never changes the output.
+    in sample-id order so concurrency never changes the output. The first
+    sample that retrieves searches the index for every sample that can, in
+    one batch (:meth:`ReflectiveEngine.with_batched_search`).
     """
     ordered = sorted(samples, key=lambda s: s.id)
+    engine = engine.with_batched_search(ordered, config)
 
     def run_one(sample: QuerySample) -> tuple[str, dict | None, str | None]:
         try:

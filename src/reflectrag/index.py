@@ -3,7 +3,9 @@
 Search is exact flat search: scores are dot products of unit-normalized
 vectors, equivalent to an exhaustive sort by (score descending, insertion
 order ascending). No approximate structures; at the scales this targets,
-correctness and oracle-testability win.
+correctness and oracle-testability win. Queries are scored in blocks, one
+float64 matrix product per block (:func:`search_batch`); :func:`search` is
+the one-query case, so a query's scores do not depend on how it was batched.
 
 Index file format: a JSON manifest line ``{"mode","dim","count"}`` followed
 by one ``{"doc_id"}`` line per entry; vectors live in a ``<stem>.vec``
@@ -16,6 +18,7 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -109,6 +112,14 @@ class DenseIndex:
     def __post_init__(self):
         self.matrix.setflags(write=False)
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Doc id to its first entry position."""
+        out: dict[str, int] = {}
+        for i, doc_id in enumerate(self.doc_ids):
+            out.setdefault(doc_id, i)
+        return out
+
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -160,19 +171,69 @@ def build_index(
     return DenseIndex(mode=mode, dim=dim, doc_ids=tuple(doc_ids), matrix=matrix)
 
 
-def search(index: DenseIndex, query: Sequence[float] | np.ndarray, k: int) -> list[RetrievalHit]:
-    """Top-k entries by cosine score; ties break toward earlier insertion."""
+#: Queries per matrix product. Every block is padded to this many rows and
+#: multiplied as ``matrix @ block.T``, so each query is one column of a
+#: product of the same shape whatever else is in its batch. BLAS picks
+#: kernels and thread splits by shape, may split the columns of a
+#: ``block @ matrix.T`` product into chunks that round differently, and
+#: numpy sends a one-row product to GEMV, which rounds differently again.
+_BLOCK = 16
+#: Index rows per product, which bounds the buffer BLAS packs them into.
+_ROWS = 512
+
+
+def _score_blocks(index: DenseIndex, queries: Sequence):
+    """Yield ``(start, scores)`` per block of queries; row ``j`` of ``scores``
+    scores query ``start + j`` against every entry.
+
+    Queries are widened to float64 a block at a time, and the buffers are
+    reused, so read each block before asking for the next.
+    """
+    for q in queries:
+        if np.shape(q) != (index.dim,):
+            raise ValueError(f"query dim {np.shape(q)} does not match index dim {index.dim}")
+    block = np.zeros((_BLOCK, index.dim))
+    product = np.empty((len(index), _BLOCK))
+    scores = np.empty((_BLOCK, len(index)))
+    for lo in range(0, len(queries), _BLOCK):
+        m = min(_BLOCK, len(queries) - lo)
+        block[:m] = queries[lo : lo + m]
+        block[m:] = 0.0
+        for r in range(0, len(index), _ROWS):
+            np.matmul(index.matrix[r : r + _ROWS], block.T, out=product[r : r + _ROWS])
+        scores[...] = product.T
+        yield lo, scores[:m]
+
+
+def search_batch(
+    index: DenseIndex, queries: Sequence[Sequence[float]] | np.ndarray, k: int
+) -> list[list[RetrievalHit]]:
+    """Top-k entries for each query; ties break toward earlier insertion.
+
+    Each row is partitioned at its k-th best score and only the entries at or
+    above it are sorted, by (score descending, position ascending). A query's
+    hits are the same bits whichever batch it is in.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or q.shape[0] != index.dim:
-        raise ValueError(f"query dim {q.shape} does not match index dim {index.dim}")
-    scores = index.matrix @ q
-    order = np.argsort(-scores, kind="stable")[: min(k, len(index.doc_ids))]
-    return [
-        RetrievalHit(doc_id=index.doc_ids[i], score=float(scores[i]), rank=rank)
-        for rank, i in enumerate(order, start=1)
-    ]
+    n = len(index)
+    k = min(k, n)
+    out = []
+    for _, scores in _score_blocks(index, queries):
+        for row in scores:
+            kth = np.partition(row, n - k)[n - k]
+            top = np.flatnonzero(row >= kth)
+            top = top[np.argsort(-row[top], kind="stable")[:k]]
+            out.append([
+                RetrievalHit(doc_id=index.doc_ids[i], score=float(row[i]), rank=rank)
+                for rank, i in enumerate(top, start=1)
+            ])
+    return out
+
+
+def search(index: DenseIndex, query: Sequence[float] | np.ndarray, k: int) -> list[RetrievalHit]:
+    """Top-k entries by cosine score; the one-query case of :func:`search_batch`."""
+    return search_batch(index, [query], k)[0]
 
 
 def candidate_passages(
@@ -214,17 +275,23 @@ class RecallReport:
         ]
 
 
+def _gold_position(index: DenseIndex, gold_doc_id: str) -> int:
+    pos = index.positions.get(gold_doc_id)
+    if pos is None:
+        raise LookupError(f"gold document {gold_doc_id!r} not in index")
+    return pos
+
+
+def _rank_in(scores: np.ndarray, pos: int) -> int:
+    gold = scores[pos]
+    return int(np.sum(scores > gold)) + int(np.sum(scores[:pos] == gold)) + 1
+
+
 def gold_rank(index: DenseIndex, query: np.ndarray, gold_doc_id: str) -> int:
     """1-based rank of the gold document under search ordering."""
-    positions = [i for i, d in enumerate(index.doc_ids) if d == gold_doc_id]
-    if not positions:
-        raise LookupError(f"gold document {gold_doc_id!r} not in index")
-    gold_pos = positions[0]
-    scores = index.matrix @ np.asarray(query, dtype=np.float64)
-    gold_score = scores[gold_pos]
-    better = int(np.sum(scores > gold_score))
-    tied_before = int(np.sum(scores[:gold_pos] == gold_score))
-    return better + tied_before + 1
+    pos = _gold_position(index, gold_doc_id)
+    _, scores = next(_score_blocks(index, [query]))
+    return _rank_in(scores[0], pos)
 
 
 def recall_at_k(
@@ -238,13 +305,17 @@ def recall_at_k(
     """
     if not ks or any(k < 1 for k in ks):
         raise ValueError("ks must be positive integers")
-    ranks: list[int] = []
+    known: list[tuple[Sequence[float], int]] = []
     excluded: list[str] = []
     for i, (vec, gold) in enumerate(queries):
         try:
-            ranks.append(gold_rank(index, np.asarray(vec, dtype=np.float64), gold))
+            known.append((vec, _gold_position(index, gold)))
         except LookupError as exc:
             excluded.append(f"query {i}: {exc}")
+    ranks: list[int] = []
+    if known:
+        for lo, scores in _score_blocks(index, [vec for vec, _ in known]):
+            ranks.extend(_rank_in(row, known[lo + j][1]) for j, row in enumerate(scores))
     entries = []
     n = len(ranks)
     for k in ks:

@@ -21,8 +21,6 @@ import numpy as np
 
 from .util import atomic_write_bytes, json_line
 
-SPLITS = ("train", "val", "test")
-
 
 class SampleError(ValueError):
     pass

@@ -1,9 +1,8 @@
-"""Shared helpers: canonical JSON, stable hashing, atomic file writes,
-config dataclasses from JSON objects."""
+"""Shared helpers: compact JSON lines, atomic file writes, config
+dataclasses from JSON objects."""
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
 import tempfile
@@ -13,18 +12,9 @@ from typing import Any, Callable, TypeVar
 T = TypeVar("T")
 
 
-def canonical_json(obj: Any) -> str:
-    """Stable byte-for-byte serialization (sorted keys, compact separators)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-
-
 def json_line(obj: Any) -> str:
     """Compact single-line JSON preserving dict insertion order."""
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
-
-
-def stable_hash(obj: Any) -> str:
-    return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

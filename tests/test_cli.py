@@ -364,6 +364,26 @@ class TestConfigPrecedence:
             "seed": 5,
         }
 
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"kb_path": 5}, "kb_path"),
+            ({"index_path": 1.5}, "index_path"),
+            ({"dataset_path": ["d.jsonl"]}, "dataset_path"),
+            ({"output_dir": None}, "output_dir"),
+            ({"backend": {"script_path": 3}}, "script_path"),
+        ],
+    )
+    def test_non_string_path_exits_2(self, config, field, tmp_path, capsys):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        code = run(["index", "--config", config_path, "--mode", "visual"])
+        assert code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and field in errors[0]
+        assert "expected a string" in errors[0]
+
     @pytest.mark.parametrize("pipeline", [
         {"random_passages_per_doc": 0, "selection": "random_per_doc"},
         {"external_scorer_top": -1, "selection": "external_scorer"},
@@ -383,6 +403,79 @@ class TestConfigPrecedence:
         assert code == 2
         assert next(iter(pipeline)) in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def block_corpus(tmp_path_factory):
+    """KB, index and dataset with more than two 16-query search blocks of
+    retrieving samples (46 fact questions, 6 NORET questions)."""
+    from reflectrag.index import RetrievalMode, build_index, save_index
+    from reflectrag.kb import save_kb
+    from reflectrag.samples import save_samples
+    from reflectrag.synth import make_synthetic_suite
+
+    root = tmp_path_factory.mktemp("blocks")
+    suite = make_synthetic_suite(
+        num_docs=40, num_fact_samples=46, num_noret_samples=6, num_miss_samples=2, seed=23
+    )
+    kb = save_kb(suite.kb, root / "kb.jsonl")
+    index = save_index(build_index(suite.kb, RetrievalMode.VISUAL), root / "index.jsonl")
+    dataset = save_samples(suite.samples, root / "dataset.jsonl")
+    return kb, index, dataset
+
+
+def eval_args(corpus, dataset, out, *extra):
+    kb, index, _ = corpus
+    return ["eval", "--kb", kb, "--index", index, "--dataset", dataset,
+            "--backend", "rule", "--no-timings", "--out", out, *extra]
+
+
+def read_traces(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+class TestBatchedSearch:
+    def test_jobs_write_identical_bytes(self, block_corpus, tmp_path):
+        for jobs in (1, 4):
+            code = run(eval_args(block_corpus, block_corpus[2], tmp_path / f"j{jobs}",
+                                 "--jobs", jobs, "--variants", "full,always_ret"))
+            assert code == 0
+        for name in ("eval_report.json", "traces_full.jsonl", "traces_always_ret.jsonl"):
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j4" / name).read_bytes()
+        retrieving = [t for t in read_traces(tmp_path / "j1" / "traces_full.jsonl") if t["hits"]]
+        assert len(retrieving) > 32
+
+    def test_answer_hits_equal_eval_hits(self, block_corpus, tmp_path):
+        kb, index, dataset = block_corpus
+        assert run(eval_args(block_corpus, dataset, tmp_path / "eval", "--jobs", 2)) == 0
+        retrieving = [t for t in read_traces(tmp_path / "eval" / "traces_full.jsonl") if t["hits"]]
+        for trace in (retrieving[0], retrieving[16], retrieving[33], retrieving[-1]):
+            sid = trace["sample_id"]
+            code = run([
+                "answer", "--kb", kb, "--index", index, "--dataset", dataset,
+                "--backend", "rule", "--sample-id", sid, "--out", tmp_path / "answer",
+            ])
+            assert code == 0
+            [answered] = read_traces(tmp_path / "answer" / f"trace_{sid}.jsonl")
+            assert answered["hits"] == trace["hits"]
+
+    def test_wrong_dimension_embedding_fails_alone(self, block_corpus, tmp_path):
+        from reflectrag.samples import load_samples, sample_to_dict
+
+        records = [sample_to_dict(s) for s in load_samples(block_corpus[2])]
+        records[20]["image_embedding"] = records[20]["image_embedding"][:3]
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        out = tmp_path / "out"
+        assert run(eval_args(block_corpus, broken, out, "--jobs", 3)) == 3
+        manifest = json.loads((out / "failures.json").read_text())
+        assert manifest["failures"] == [{
+            "sample": f"full:{records[20]['id']}",
+            "error": "ValueError: query dim (3,) does not match index dim 32",
+        }]
+        traces = read_traces(out / "traces_full.jsonl")
+        assert len(traces) == len(records) - 1
+        assert sum(1 for t in traces if t["hits"]) > 32
 
 
 class TestPartialFailure:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -59,6 +60,40 @@ class TestEvaluate:
         )
         assert serial.traces == parallel.traces
         assert serial.report.to_dict() == parallel.report.to_dict()
+
+    def test_one_batched_search_per_dataset(self, small_run, monkeypatch):
+        import reflectrag.engine as engine_mod
+
+        suite, engine = small_run
+        batches = []
+        real = engine_mod.search_batch
+
+        def counting(index, queries, k):
+            batches.append(len(queries))
+            return real(index, queries, k)
+
+        def per_sample(*args):
+            pytest.fail("a worker searched one sample on its own")
+
+        monkeypatch.setattr(engine_mod, "search_batch", counting)
+        monkeypatch.setattr(engine_mod, "search", per_sample)
+        serial = evaluate_dataset(
+            engine, suite.samples, PipelineConfig(seed=3), include_timings=False
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches inside the first lookup
+        try:
+            run = evaluate_dataset(
+                engine, suite.samples, PipelineConfig(seed=3), jobs=12, include_timings=False
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not run.failures
+        assert run.traces == serial.traces
+        assert batches == [len(suite.samples)] * 2
+        no_kb = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
+        assert not evaluate_dataset(engine, suite.samples, no_kb, jobs=4).failures
+        assert batches == [len(suite.samples)] * 2
 
     def test_rescoring_trace_file_is_pure(self, small_run, tmp_path):
         suite, engine = small_run

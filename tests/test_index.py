@@ -7,10 +7,12 @@ from reflectrag.index import (
     RetrievalMode,
     build_index,
     candidate_passages,
+    gold_rank,
     load_index,
     recall_at_k,
     save_index,
     search,
+    search_batch,
 )
 from reflectrag.kb import load_kb, passages_of
 
@@ -81,6 +83,87 @@ class TestSearch:
         query /= np.linalg.norm(query)
         for hit in search(index, query, k=100):
             assert -1 - 1e-6 <= hit.score <= 1 + 1e-6
+
+
+def index_with_duplicates(seed: int, distinct: int = 80, copies: int = 40, dim: int = 16):
+    """Random unit rows plus exact copies of some of them at later positions."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((distinct, dim))
+    picked = rng.choice(distinct, size=copies, replace=False)
+    matrix = np.vstack([rows, rows[picked]])
+    order = rng.permutation(len(matrix))
+    return make_index(matrix[order].tolist()), rng
+
+
+def unit_queries(rng, n: int, dim: int) -> np.ndarray:
+    queries = rng.standard_normal((n, dim))
+    return queries / np.linalg.norm(queries, axis=1, keepdims=True)
+
+
+class TestSearchBatch:
+    @pytest.mark.parametrize("shape", [(300, 16), (2000, 64)])
+    def test_rows_match_search_bit_for_bit(self, shape):
+        rng = np.random.default_rng(11)
+        index = make_index(rng.standard_normal(shape).tolist())
+        queries = unit_queries(rng, 40, shape[1])
+        single = [search(index, q, 7) for q in queries]
+        # batches of 1..33 (one-row last blocks at 17 and 33), at two offsets
+        for n in range(1, 34):
+            for start in (0, 40 - n):
+                batch = search_batch(index, queries[start : start + n], 7)
+                assert batch == single[start : start + n], (n, start)
+
+    def test_list_and_float32_queries_match_float64_rows(self):
+        rng = np.random.default_rng(12)
+        index = make_index(rng.standard_normal((50, 8)).tolist())
+        queries = unit_queries(rng, 5, 8).astype(np.float32)
+        expected = search_batch(index, queries.astype(np.float64), 4)
+        assert search_batch(index, list(queries), 4) == expected
+        assert search_batch(index, queries.tolist(), 4) == expected
+
+    def test_duplicated_rows_match_oracle_with_ties_to_earlier_position(self):
+        index, rng = index_with_duplicates(seed=21)
+        queries = np.vstack([unit_queries(rng, 20, 16), index.matrix[:5]])
+        for k in (1, 5, 40, len(index)):
+            for query, hits in zip(queries, search_batch(index, queries, k)):
+                scores = index.matrix @ query
+                oracle = sorted(range(len(index)), key=lambda i: (-scores[i], i))[:k]
+                assert [h.doc_id for h in hits] == [index.doc_ids[i] for i in oracle]
+                assert [h.rank for h in hits] == list(range(1, k + 1))
+                for h, i in zip(hits, oracle):
+                    assert h.score == pytest.approx(scores[i], abs=1e-12)
+        # an exact copy ties bit for bit and ranks right after the earlier row
+        first_copy = next(
+            i for i in range(len(index))
+            if any(np.array_equal(index.matrix[i], index.matrix[j]) for j in range(i))
+        )
+        original = next(
+            j for j in range(first_copy) if np.array_equal(index.matrix[j], index.matrix[first_copy])
+        )
+        hits = search(index, index.matrix[first_copy], 2)
+        assert [h.doc_id for h in hits] == [index.doc_ids[original], index.doc_ids[first_copy]]
+        assert hits[0].score == hits[1].score
+
+    @pytest.mark.parametrize("k", [3, 4, 10])
+    def test_k_at_least_len_returns_every_entry(self, k):
+        index = make_index([[1, 0], [0, 1], [1, 1]], ["a", "b", "c"])
+        hits = search_batch(index, [[1.0, 0.0], [0.0, 1.0]], k)
+        assert [[h.doc_id for h in row] for row in hits] == [["a", "c", "b"], ["b", "c", "a"]]
+
+    def test_empty_batch(self):
+        assert search_batch(make_index([[1, 0]]), [], 3) == []
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            search_batch(make_index([[1, 0]]), [[1.0, 0.0]], k)
+
+    def test_wrong_dimension_query_rejected(self):
+        index = make_index([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=r"query dim \(3,\) does not match index dim 2"):
+            search_batch(index, [[1.0, 0.0], [1.0, 0.0, 0.0]], 1)
+        with pytest.raises(ValueError, match=r"query dim \(1,\) does not match index dim 2"):
+            search(index, [1.0], 1)
 
 
 class TestBuildIndex:
@@ -221,6 +304,24 @@ class TestRecall:
         assert [e.recall for e in report.entries] == pytest.approx(expected)
         values = [e.recall for e in report.entries]
         assert values == sorted(values)
+
+    def test_gold_rank_equals_search_rank(self):
+        index, rng = index_with_duplicates(seed=31)
+        queries = np.vstack([unit_queries(rng, 30, 16), index.matrix[:10]])
+        golds = [index.doc_ids[int(i)] for i in rng.integers(0, len(index), len(queries))]
+        for query, gold in zip(queries, golds):
+            ranked = [h.doc_id for h in search(index, query, len(index))]
+            assert gold_rank(index, query, gold) == ranked.index(gold) + 1
+            # every copy of a duplicated row, too
+            for doc_id in index.doc_ids[:10]:
+                assert gold_rank(index, query, doc_id) == ranked.index(doc_id) + 1
+        ks = [1, 3, 10, 50]
+        report = recall_at_k(index, list(zip(queries, golds)), ks=ks)
+        expected = []
+        for k in ks:
+            tops = [{h.doc_id for h in hits} for hits in search_batch(index, queries, k)]
+            expected.append(sum(g in top for g, top in zip(golds, tops)) / len(golds))
+        assert [e.recall for e in report.entries] == expected
 
     def test_bad_ks_rejected(self):
         index = make_index([[1, 0]])
