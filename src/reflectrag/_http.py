@@ -1,5 +1,8 @@
 """JSON-over-HTTP transport shared by the remote clients.
 
+A :class:`ServiceClient` holds one service's endpoint, timeout and retry
+policy; the remote backend, reranker and embedder send through one.
+
 Calls reuse keep-alive connections from one process-wide pool per
 (scheme, host, port), so a run opens about as many TCP connections as it
 has concurrent requests, not one per request. Proxy settings
@@ -208,3 +211,25 @@ def post_json(
             logger.debug("retrying %s in %.2fs (%s)", url, delay, last_error)
             time.sleep(delay)
     raise TransportError(url, attempts, last_error)
+
+
+class ServiceClient:
+    """Endpoint, timeout and retry policy of one remote service."""
+
+    def __init__(
+        self,
+        endpoint: str,
+        timeout: float = 30.0,
+        max_retries: int = 3,
+        backoff: float = 0.25,
+    ):
+        self.endpoint = endpoint.rstrip("/")
+        self.timeout = timeout
+        self.max_retries = max_retries
+        self.backoff = backoff
+
+    def post(self, route: str, payload: dict) -> dict:
+        """POST ``payload`` to ``{endpoint}{route}``; returns the JSON object."""
+        return post_json(
+            self.endpoint + route, payload, self.timeout, self.max_retries, self.backoff
+        )

@@ -18,12 +18,11 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
-from ._http import MalformedResponseError, RemoteServiceError, TransportError, post_json
+from ._http import MalformedResponseError, RemoteServiceError, ServiceClient, TransportError
 from .prompts import PromptSegment, SegmentKind, prompt_fingerprint
 from .tokens import CONTROL_TOKENS
 
@@ -95,7 +94,7 @@ def validate_generation_result(
             raise ProtocolViolationError(
                 f"step {step}: chosen token {tok!r} missing from candidate map"
             )
-        if not math.isfinite(logp):
+        if not (math.isfinite(logp) and all(map(math.isfinite, cands.values()))):
             raise ProtocolViolationError(f"step {step}: non-finite logprob")
         total = sum(math.exp(lp) for lp in cands.values())
         if total > 1.0 + PROBABILITY_SUM_SLACK:
@@ -327,29 +326,19 @@ def load_script_file(backend: MockBackend, path: str | Path) -> int:
 
 
 class RemoteBackend:
-    """HTTP client for a model server implementing the generation protocol.
+    """Adapter from the generation protocol to a model server's
+    ``/v1/generate`` route.
 
-    In-flight requests are capped by a semaphore; transport failures retry
-    with exponential backoff inside :func:`post_json`. A response containing
-    a token outside the allowed set is a protocol violation, never silently
-    accepted.
+    Transport failures retry with exponential backoff inside the
+    :class:`ServiceClient`. A response containing a token outside the
+    allowed set is a protocol violation, never silently accepted.
     """
 
     def __init__(
-        self,
-        endpoint: str,
-        timeout: float = 60.0,
-        max_retries: int = 3,
-        backoff: float = 0.25,
-        max_inflight: int = 8,
-        control_tokens: Iterable[str] = CONTROL_TOKENS,
+        self, client: ServiceClient, control_tokens: Iterable[str] = CONTROL_TOKENS
     ):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
+        self.client = client
         self.control_tokens = frozenset(control_tokens)
-        self._inflight = threading.BoundedSemaphore(max(1, max_inflight))
 
     def constrained_generate(
         self,
@@ -363,17 +352,10 @@ class RemoteBackend:
             "allowed_tokens": sorted(allowed_set) if allowed_set is not None else None,
             "max_tokens": max_tokens,
         }
-        with self._inflight:
-            try:
-                body = post_json(
-                    f"{self.endpoint}/v1/generate",
-                    payload,
-                    timeout=self.timeout,
-                    max_retries=self.max_retries,
-                    backoff=self.backoff,
-                )
-            except MalformedResponseError as exc:
-                raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
+        try:
+            body = self.client.post("/v1/generate", payload)
+        except MalformedResponseError as exc:
+            raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
         try:
             result = GenerationResult(
                 tokens=tuple(str(t) for t in body["tokens"]),
@@ -400,6 +382,7 @@ __all__ = [
     "RemoteServiceError",
     "ScriptError",
     "ScriptedResponse",
+    "ServiceClient",
     "TransportError",
     "UnscriptedPromptError",
     "check_backend_conformance",

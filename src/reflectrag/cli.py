@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import forge, harness
@@ -39,7 +40,7 @@ from .engine import (
     SelectionMode,
     write_traces,
 )
-from ._http import RemoteServiceError, TransportError
+from ._http import RemoteServiceError, ServiceClient, TransportError
 from .harness import AblationName, variant_config
 from .index import (
     EmbedderError,
@@ -72,7 +73,11 @@ class BackendSpec:
     endpoint: str = "http://localhost:8008"
     timeout: float = 60.0
     max_retries: int = 3
-    max_inflight: int = 8
+
+    @cached_property
+    def client(self) -> ServiceClient:
+        """The one client a run's remote backend, reranker and embedder share."""
+        return ServiceClient(self.endpoint, self.timeout, self.max_retries)
 
 
 @dataclass
@@ -105,7 +110,6 @@ def _backend_from_dict(obj: dict) -> BackendSpec:
             "endpoint": _string,
             "timeout": float,
             "max_retries": int,
-            "max_inflight": int,
         },
     )
 
@@ -183,12 +187,7 @@ def _build_backend(
 ) -> GenerativeBackend:
     spec = config.backend
     if spec.kind == "remote":
-        return RemoteBackend(
-            endpoint=spec.endpoint,
-            timeout=spec.timeout,
-            max_retries=spec.max_retries,
-            max_inflight=spec.max_inflight,
-        )
+        return RemoteBackend(spec.client)
     if spec.kind == "mock":
         if not spec.script_path:
             raise ConfigurationError("mock backend requires --scripts FILE")
@@ -220,11 +219,7 @@ def _build_engine(config: RunConfig, samples: list[QuerySample] | None = None) -
         config.pipeline.rerank is not None
         and config.pipeline.rerank.strategy is RerankStrategy.EXTERNAL
     ):
-        reranker = RemotePassageReranker(
-            config.backend.endpoint,
-            timeout=config.backend.timeout,
-            max_retries=config.backend.max_retries,
-        )
+        reranker = RemotePassageReranker(config.backend.client)
     return ReflectiveEngine(
         backend=backend,
         kb=kb,
@@ -279,11 +274,7 @@ def cmd_index(args: argparse.Namespace, config: RunConfig) -> int:
     embedder = None
     if mode is not RetrievalMode.VISUAL:
         if args.embedder == "remote":
-            embedder = RemoteTextEmbedder(
-                config.backend.endpoint,
-                timeout=config.backend.timeout,
-                max_retries=config.backend.max_retries,
-            )
+            embedder = RemoteTextEmbedder(config.backend.client)
         else:
             embedder = HashEmbedder(dim=kb.embedding_dim)
     index = build_index(kb, mode, embedder)

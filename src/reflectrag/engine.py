@@ -21,6 +21,7 @@ from typing import Protocol, Sequence
 
 from collections import Counter
 
+from ._http import ServiceClient
 from .backend import BackendError, GenerativeBackend, ProtocolViolationError
 from .index import DenseIndex, RetrievalHit, candidate_passages, search, search_batch
 from .kb import KnowledgeBase, Passage, passages_of
@@ -192,22 +193,18 @@ class PassageReranker(Protocol):
 
 
 class RemotePassageReranker:
-    """Client for an external re-ranking service (POST /v1/rerank).
+    """Adapter to an external re-ranking service (POST /v1/rerank).
 
     Request ``{"question": str, "passages": [{"doc_id","section_index","text"}]}``;
     response ``{"order": [int, ...]}``, a permutation of input positions.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, max_retries: int = 3):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
+    def __init__(self, client: ServiceClient):
+        self.client = client
 
     def rerank(self, question: str, passages: Sequence[Passage]) -> Sequence[Passage]:
-        from ._http import post_json
-
-        body = post_json(
-            f"{self.endpoint}/v1/rerank",
+        body = self.client.post(
+            "/v1/rerank",
             {
                 "question": question,
                 "passages": [
@@ -215,8 +212,6 @@ class RemotePassageReranker:
                     for p in passages
                 ],
             },
-            timeout=self.timeout,
-            max_retries=self.max_retries,
         )
         order = body.get("order")
         if not (

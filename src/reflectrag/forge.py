@@ -25,7 +25,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from ._http import post_json
 from .engine import judge_passage
 from .backend import GenerativeBackend
 from .index import DenseIndex, search
@@ -151,11 +150,7 @@ def _sequence(
 
 class PassageAnnotator(Protocol):
     def is_relevant(
-        self,
-        question: str,
-        answers: Sequence[str],
-        passage_text: str,
-        captions: Sequence[str] = (),
+        self, question: str, answers: Sequence[str], passage_text: str
     ) -> bool: ...
 
 
@@ -166,56 +161,15 @@ def _match_normalize(text: str) -> str:
 class HeuristicAnnotator:
     """Offline oracle: a passage is positive iff a gold answer occurs in it
     (normalized substring match). Keeps the whole forge testable without any
-    remote judge."""
+    model judge."""
 
     def is_relevant(
-        self,
-        question: str,
-        answers: Sequence[str],
-        passage_text: str,
-        captions: Sequence[str] = (),
+        self, question: str, answers: Sequence[str], passage_text: str
     ) -> bool:
         haystack = f" {_match_normalize(passage_text)} "
         return any(
             f" {_match_normalize(a)} " in haystack for a in answers if a.strip()
         )
-
-
-class RemoteAnnotator:
-    """LLM-judge client (POST /v1/annotate).
-
-    Request ``{"question", "captions": [...], "answer", "passage"}``;
-    response ``{"relevant": bool}``. The judge-side prompt is the server's
-    concern; this wire format is a local convention of this project.
-    """
-
-    def __init__(self, endpoint: str, timeout: float = 30.0, max_retries: int = 3):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-
-    def is_relevant(
-        self,
-        question: str,
-        answers: Sequence[str],
-        passage_text: str,
-        captions: Sequence[str] = (),
-    ) -> bool:
-        body = post_json(
-            f"{self.endpoint}/v1/annotate",
-            {
-                "question": question,
-                "captions": list(captions),
-                "answer": answers[0] if answers else "",
-                "passage": passage_text,
-            },
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
-        relevant = body.get("relevant")
-        if type(relevant) is not bool:
-            raise ValueError(f"annotator 'relevant' must be a JSON boolean, got {relevant!r}")
-        return relevant
 
 
 # --------------------------------------------------------------------------
@@ -259,9 +213,7 @@ def annotate_in_article(
     scorer = scorer or LexicalOverlapScorer()
     labels: list[PassageLabel] = []
     for passage in passages:
-        relevant = annotator.is_relevant(
-            sample.question, sample.gold_answers, passage.text, sample.captions
-        )
+        relevant = annotator.is_relevant(sample.question, sample.gold_answers, passage.text)
         labels.append(PassageLabel.POSITIVE if relevant else PassageLabel.NEGATIVE)
 
     provenance = [Provenance.ANNOTATOR_JUDGED] * len(passages)

@@ -17,7 +17,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Sequence
 
-from ._http import post_json
 from .engine import (
     ForcedDecision,
     PipelineConfig,
@@ -351,62 +350,6 @@ def token_accuracy(
         for name, c in classes.items()
     }
     return {"classes": report, "missing_judgments": missing}
-
-
-# --------------------------------------------------------------------------
-# Remote answer judge (pluggable; disabled in hermetic runs)
-# --------------------------------------------------------------------------
-
-JUDGE_PROMPT_TEMPLATE = (
-    "You are trying to evaluate the alignment between a predicted answer and "
-    "a ground-truth answer for a given question-image pair. To do this, "
-    "consider the context provided by the question itself and the caption of "
-    "the query image.\n"
-    "# Question: {question}\n"
-    "# Image Caption: {caption}\n"
-    "# Ground-truth Answer: {gold}\n"
-    "# Predicted Answer: {pred}\n"
-    "You have to determine the alignment between the predicted answer and "
-    "the ground-truth on a scale from 0 to 100, where 0 indicates no "
-    "alignment and 100 indicates perfect alignment. Your response should be "
-    "in JSON format, outputting a list where each element is a dictionary "
-    "representing a candidate with:\n"
-    '"score": a numeric value between 0 and 100 indicating the alignment level,\n'
-    '"reason": a string explaining the rationale for the given score.'
-)
-
-
-class RemoteAnswerJudge:
-    """Scores answer alignment 0..100 via POST /v1/judge.
-
-    Request carries the documented fields plus the rendered prompt; response
-    is ``{"score": 0..100, "reason": str}``.
-    """
-
-    def __init__(self, endpoint: str, timeout: float = 30.0, max_retries: int = 3):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
-
-    def judge(self, question: str, caption: str, gold: str, pred: str) -> dict:
-        body = post_json(
-            f"{self.endpoint}/v1/judge",
-            {
-                "question": question,
-                "caption": caption,
-                "ground_truth_answer": gold,
-                "predicted_answer": pred,
-                "prompt": JUDGE_PROMPT_TEMPLATE.format(
-                    question=question, caption=caption, gold=gold, pred=pred
-                ),
-            },
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
-        score = float(body["score"])
-        if not 0.0 <= score <= 100.0:
-            raise ValueError(f"judge score {score} out of range")
-        return {"score": score, "reason": str(body.get("reason", ""))}
 
 
 # --------------------------------------------------------------------------

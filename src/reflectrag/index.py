@@ -24,8 +24,8 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ._http import post_json
-from .kb import KnowledgeBase, Passage, passages_of
+from ._http import ServiceClient
+from .kb import KnowledgeBase, Passage, passages_of, sidecar_path
 from .util import atomic_write_bytes, json_line
 
 logger = logging.getLogger(__name__)
@@ -69,24 +69,17 @@ class HashEmbedder:
 
 
 class RemoteTextEmbedder:
-    """Client for a live embedding service (POST /v1/embed).
+    """Adapter to a live embedding service (POST /v1/embed).
 
     Request ``{"texts": [str, ...]}``; response ``{"embeddings": [[f32...]]}``.
     Never required by tests; dataset files carry precomputed query embeddings.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 30.0, max_retries: int = 3):
-        self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_retries = max_retries
+    def __init__(self, client: ServiceClient):
+        self.client = client
 
     def embed(self, text: str) -> np.ndarray:
-        body = post_json(
-            f"{self.endpoint}/v1/embed",
-            {"texts": [text]},
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-        )
+        body = self.client.post("/v1/embed", {"texts": [text]})
         return np.asarray(body["embeddings"][0], dtype=np.float64)
 
 
@@ -164,6 +157,8 @@ def build_index(
                 raise EmbedderError(doc.id, exc) from exc
             if vec.ndim != 1:
                 raise EmbedderError(doc.id, ValueError(f"bad shape {vec.shape}"))
+            if not np.all(np.isfinite(vec)):
+                raise EmbedderError(doc.id, ValueError("non-finite embedding"))
             doc_ids.append(doc.id)
             rows.append(vec)
     matrix = _normalize_rows(np.vstack(rows))
@@ -336,8 +331,8 @@ def save_recall_report(report: RecallReport, path: str | Path) -> Path:
     return Path(path)
 
 
-def index_sidecar_path(path: str | Path) -> Path:
-    return Path(path).with_suffix(".vec")
+# An index's vectors sit beside it under the same rule as a KB's.
+index_sidecar_path = sidecar_path
 
 
 def save_index(index: DenseIndex, path: str | Path) -> Path:
@@ -348,7 +343,7 @@ def save_index(index: DenseIndex, path: str | Path) -> Path:
     lines.extend(json_line({"doc_id": d}) for d in index.doc_ids)
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
     atomic_write_bytes(
-        index_sidecar_path(path), index.matrix.astype("<f4").tobytes(order="C")
+        sidecar_path(path), index.matrix.astype("<f4").tobytes(order="C")
     )
     return path
 
@@ -365,7 +360,7 @@ def load_index(path: str | Path) -> DenseIndex:
     doc_ids = tuple(json.loads(line)["doc_id"] for line in lines[1:] if line.strip())
     if len(doc_ids) != count:
         raise ValueError(f"{path}: header count {count} != {len(doc_ids)} entries")
-    raw = np.fromfile(index_sidecar_path(path), dtype="<f4")
+    raw = np.fromfile(sidecar_path(path), dtype="<f4")
     if raw.size != count * dim:
         raise ValueError(f"{path}: sidecar size mismatch")
     matrix = raw.reshape(count, dim).astype(np.float64)

@@ -8,7 +8,8 @@ Dataset files are JSONL, one sample per line::
 
 Two optional keys are accepted: ``"subset"`` (an evaluation-split tag such as
 ``unseen_q`` / ``unseen_e`` / ``single_hop``, used for report breakdowns) and
-``"captions"`` (precomputed image descriptions for remote annotators).
+``"captions"`` (precomputed image descriptions, kept through load and save;
+no stage here reads them).
 """
 from __future__ import annotations
 

@@ -19,6 +19,7 @@ from reflectrag.backend import (
     MockBackend,
     ProtocolViolationError,
     RemoteBackend,
+    ServiceClient,
     check_backend_conformance,
 )
 from reflectrag.engine import (
@@ -348,7 +349,7 @@ def test_backend_conformance_and_faults():
                      "candidates": [{"<REL>": 0.0}]}
 
     with StubServer(violate) as server:
-        backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+        backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
         try:
             backend.constrained_generate(prompt, DECISION_TOKENS, 1)
         except ProtocolViolationError:
@@ -357,7 +358,7 @@ def test_backend_conformance_and_faults():
     # fault: malformed response body
     faults += 1
     with StubServer(lambda p, b: (200, {"tokens": ["x"]})) as server:
-        backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+        backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
         try:
             backend.constrained_generate(prompt)
         except ProtocolViolationError:
@@ -370,7 +371,7 @@ def test_backend_conformance_and_faults():
                      "candidates": [{"<RET>": 0.0, "<NORET>": 0.0}]}
 
     with StubServer(unnormalized) as server:
-        backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+        backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
         try:
             backend.constrained_generate(prompt, DECISION_TOKENS, 1)
         except ProtocolViolationError:
@@ -412,7 +413,7 @@ def test_backend_conformance_and_faults():
         }
 
     with StubServer(ok) as server:
-        backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+        backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
         result = backend.constrained_generate(prompt, DECISION_TOKENS, 1)
     assert result.tokens == ("<RET>",)
 

@@ -13,6 +13,7 @@ from reflectrag.backend import (
     RemoteBackend,
     ScriptError,
     ScriptedResponse,
+    ServiceClient,
     TransportError,
     UnscriptedPromptError,
     check_backend_conformance,
@@ -200,6 +201,16 @@ class TestResultValidation:
         with pytest.raises(ProtocolViolationError, match="missing"):
             validate_generation_result(result, None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_candidate_rejected(self, bad):
+        result = GenerationResult(
+            tokens=("<NOREL>",),
+            chosen_logprobs=(0.0,),
+            candidate_logprobs=({"<REL>": bad, "<NOREL>": 0.0},),
+        )
+        with pytest.raises(ProtocolViolationError, match="non-finite"):
+            validate_generation_result(result, frozenset(RELEVANCE_TOKENS))
+
 
 class TestRemoteBackend:
     def test_round_trip(self):
@@ -217,7 +228,7 @@ class TestRemoteBackend:
             }
 
         with StubServer(handler) as server:
-            backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
             result = backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
         assert result.tokens == ("<RET>",)
 
@@ -230,13 +241,13 @@ class TestRemoteBackend:
             }
 
         with StubServer(handler) as server:
-            backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
             with pytest.raises(ProtocolViolationError, match="outside allowed"):
                 backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
 
     def test_malformed_response_raises(self):
         with StubServer(lambda p, b: (200, {"tokens": ["x"]})) as server:
-            backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
             with pytest.raises(ProtocolViolationError, match="malformed"):
                 backend.constrained_generate(DECISION_PROMPT)
 
@@ -250,9 +261,18 @@ class TestRemoteBackend:
     )
     def test_garbled_response_is_protocol_violation(self, body):
         with StubServer(lambda p, b: (200, body)) as server:
-            backend = RemoteBackend(server.endpoint, timeout=5, max_retries=1)
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
             with pytest.raises(ProtocolViolationError, match="malformed"):
                 backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
+
+    def test_nan_candidate_is_protocol_violation(self):
+        # json.loads accepts the NaN literal, so the validator must catch it.
+        body = (b'{"tokens": ["<NOREL>"], "chosen_logprobs": [0.0],'
+                b' "candidates": [{"<REL>": NaN, "<NOREL>": 0.0}]}')
+        with StubServer(lambda p, b: (200, body)) as server:
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
+            with pytest.raises(ProtocolViolationError, match="non-finite"):
+                backend.constrained_generate(DECISION_PROMPT, RELEVANCE_TOKENS, 1)
 
     def test_retries_then_succeeds(self):
         state = {"calls": 0}
@@ -269,7 +289,7 @@ class TestRemoteBackend:
 
         with StubServer(handler) as server:
             backend = RemoteBackend(
-                server.endpoint, timeout=5, max_retries=3, backoff=0.01
+                ServiceClient(server.endpoint, timeout=5, max_retries=3, backoff=0.01)
             )
             result = backend.constrained_generate(DECISION_PROMPT)
         assert result.tokens == ("ok",)
@@ -277,7 +297,7 @@ class TestRemoteBackend:
 
     def test_transport_error_carries_retry_metadata(self):
         backend = RemoteBackend(
-            "http://127.0.0.1:1", timeout=0.2, max_retries=2, backoff=0.01
+            ServiceClient("http://127.0.0.1:1", timeout=0.2, max_retries=2, backoff=0.01)
         )
         with pytest.raises(TransportError) as exc_info:
             backend.constrained_generate(DECISION_PROMPT)

@@ -1,11 +1,13 @@
 import json
+import threading
 import time
 
 import pytest
 
 from reflectrag._http import TransportError
-from reflectrag.cli import _build_engine, build_parser, load_run_config, main
+from reflectrag.cli import _build_backend, _build_engine, build_parser, load_run_config, main
 from reflectrag.kb import Passage
+from reflectrag.samples import load_samples
 
 from conftest import doc_record, write_kb_file
 from stub_server import StubServer
@@ -476,6 +478,47 @@ class TestBatchedSearch:
         traces = read_traces(out / "traces_full.jsonl")
         assert len(traces) == len(records) - 1
         assert sum(1 for t in traces if t["hits"]) > 32
+
+
+def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
+    from reflectrag.prompts import PromptSegment, SegmentKind
+
+    kb, index, dataset = block_corpus
+    config = load_run_config(None)
+    config.backend.kind = "rule"
+    rule = _build_backend(config, load_samples(dataset))
+    lock = threading.Lock()
+    state = {"now": 0, "peak": 0}
+
+    def handler(path, payload):
+        with lock:
+            state["now"] += 1
+            state["peak"] = max(state["peak"], state["now"])
+        try:
+            time.sleep(0.002)
+            result = rule.constrained_generate(
+                [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
+                payload["allowed_tokens"],
+                payload["max_tokens"],
+            )
+        finally:
+            with lock:
+                state["now"] -= 1
+        return 200, {
+            "tokens": list(result.tokens),
+            "chosen_logprobs": list(result.chosen_logprobs),
+            "candidates": [dict(c) for c in result.candidate_logprobs],
+        }
+
+    with StubServer(handler, keep_alive=True) as server:
+        code = run(eval_args(block_corpus, dataset, tmp_path / "remote", "--jobs", 3,
+                             "--backend", "remote", "--endpoint", server.endpoint))
+    assert code == 0
+    assert 1 < state["peak"] <= 3
+    assert server.connections <= 3
+    assert run(eval_args(block_corpus, dataset, tmp_path / "rule", "--jobs", 3)) == 0
+    for name in ("eval_report.json", "traces_full.jsonl"):
+        assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
 
 
 class TestPartialFailure:

@@ -3,6 +3,7 @@ import pytest
 
 from reflectrag.index import (
     DenseIndex,
+    EmbedderError,
     HashEmbedder,
     RetrievalMode,
     build_index,
@@ -206,6 +207,18 @@ class TestBuildIndex:
         kb = load_kb(write_kb_file(tmp_path / "kb.jsonl", [doc_record("a")]))
         with pytest.raises(ValueError, match="embedder"):
             build_index(kb, RetrievalMode.TEXTUAL_TITLE)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_embedding_names_the_document(self, tmp_path, bad):
+        docs = [doc_record("a", title="Alpha"), doc_record("b", title="Beta")]
+        kb = load_kb(write_kb_file(tmp_path / "kb.jsonl", docs))
+
+        class Embedder:
+            def embed(self, text):
+                return [bad, 1.0, 0.0, 0.0] if text == "Beta" else [1.0, 0.0, 0.0, 0.0]
+
+        with pytest.raises(EmbedderError, match="'b': non-finite"):
+            build_index(kb, RetrievalMode.TEXTUAL_TITLE, Embedder())
 
     def test_double_build_is_byte_identical(self, tmp_path):
         docs = [doc_record(f"d{i}", title=f"Doc {i}") for i in range(5)]

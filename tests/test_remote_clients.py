@@ -1,12 +1,11 @@
-"""Wire-format tests for the auxiliary remote clients (embedder, annotator,
-reranker, answer judge) against an in-process stub."""
+"""Wire-format tests for the auxiliary remote adapters (embedder, reranker)
+and the shared ServiceClient against an in-process stub."""
 import numpy as np
 import pytest
 
-from reflectrag._http import RemoteServiceError, post_json
+from reflectrag import _http
+from reflectrag._http import RemoteServiceError, ServiceClient
 from reflectrag.engine import RemotePassageReranker, RerankerError, apply_external_reranker
-from reflectrag.forge import RemoteAnnotator
-from reflectrag.harness import RemoteAnswerJudge
 from reflectrag.index import RemoteTextEmbedder
 from reflectrag.kb import Passage
 from reflectrag.samples import QuerySample
@@ -21,6 +20,21 @@ def make_sample():
     )
 
 
+def client(server):
+    return ServiceClient(server.endpoint, timeout=5, max_retries=1)
+
+
+def test_service_client_posts_through_post_json(monkeypatch):
+    # Tracing wraps the module-level post_json to see every request.
+    sent = []
+    monkeypatch.setattr(_http, "post_json", lambda *args: sent.append(args) or {"ok": 1})
+    body = ServiceClient("http://svc:9/", timeout=2.5, max_retries=4, backoff=0.5).post(
+        "/v1/embed", {"texts": []}
+    )
+    assert body == {"ok": 1}
+    assert sent == [("http://svc:9/v1/embed", {"texts": []}, 2.5, 4, 0.5)]
+
+
 def test_remote_embedder_round_trip():
     def handler(path, payload):
         assert path == "/v1/embed"
@@ -28,36 +42,9 @@ def test_remote_embedder_round_trip():
         return 200, {"embeddings": [[0.6, 0.8]]}
 
     with StubServer(handler) as server:
-        embedder = RemoteTextEmbedder(server.endpoint, timeout=5, max_retries=1)
+        embedder = RemoteTextEmbedder(client(server))
         vec = embedder.embed("Some Title")
     assert np.allclose(vec, [0.6, 0.8])
-
-
-def test_remote_annotator_round_trip():
-    def handler(path, payload):
-        assert path == "/v1/annotate"
-        assert payload["question"] == "who built it"
-        assert payload["answer"] == "Mason Guild"
-        assert payload["captions"] == ["a stone bridge"]
-        return 200, {"relevant": "Mason" in payload["passage"]}
-
-    with StubServer(handler) as server:
-        annotator = RemoteAnnotator(server.endpoint, timeout=5, max_retries=1)
-        assert annotator.is_relevant(
-            "who built it", ["Mason Guild"], "built by the Mason Guild",
-            captions=["a stone bridge"],
-        )
-        assert not annotator.is_relevant(
-            "who built it", ["Mason Guild"], "irrelevant", captions=["a stone bridge"]
-        )
-
-
-@pytest.mark.parametrize("relevant", ["false", 0, 1, None])
-def test_remote_annotator_rejects_non_boolean_relevant(relevant):
-    with StubServer(lambda p, b: (200, {"relevant": relevant})) as server:
-        annotator = RemoteAnnotator(server.endpoint, timeout=5, max_retries=1)
-        with pytest.raises(ValueError, match="JSON boolean"):
-            annotator.is_relevant("q", ["a"], "passage")
 
 
 def test_remote_reranker_round_trip_and_validation():
@@ -69,39 +56,16 @@ def test_remote_reranker_round_trip_and_validation():
         return 200, {"order": [2, 0, 1]}
 
     with StubServer(handler) as server:
-        reranker = RemotePassageReranker(server.endpoint, timeout=5, max_retries=1)
+        reranker = RemotePassageReranker(client(server))
         reordered = apply_external_reranker(reranker, make_sample(), passages)
     assert [p.section_index for p in reordered] == [2, 0, 1]
 
     # A duplicated entry, and negative indices that would wrap around.
     for bad_order in ([0, 0, 1], [-1, -2, -3]):
         with StubServer(lambda p, b: (200, {"order": bad_order})) as server:
-            reranker = RemotePassageReranker(server.endpoint, timeout=5, max_retries=1)
+            reranker = RemotePassageReranker(client(server))
             with pytest.raises(RerankerError, match="not a permutation"):
                 apply_external_reranker(reranker, make_sample(), passages)
-
-
-def test_remote_judge_round_trip():
-    def handler(path, payload):
-        assert path == "/v1/judge"
-        assert payload["question"] == "q"
-        assert payload["ground_truth_answer"] == "gold"
-        assert payload["predicted_answer"] == "pred"
-        assert "# Question: q" in payload["prompt"]
-        assert payload["prompt"].startswith("You are trying to evaluate the alignment")
-        return 200, {"score": 87, "reason": "close enough"}
-
-    with StubServer(handler) as server:
-        judge = RemoteAnswerJudge(server.endpoint, timeout=5, max_retries=1)
-        verdict = judge.judge("q", "caption", "gold", "pred")
-    assert verdict == {"score": 87.0, "reason": "close enough"}
-
-
-def test_remote_judge_rejects_out_of_range_score():
-    with StubServer(lambda p, b: (200, {"score": 150, "reason": ""})) as server:
-        judge = RemoteAnswerJudge(server.endpoint, timeout=5, max_retries=1)
-        with pytest.raises(ValueError, match="out of range"):
-            judge.judge("q", "c", "g", "p")
 
 
 def test_post_json_client_error_is_not_retried():
@@ -113,5 +77,5 @@ def test_post_json_client_error_is_not_retried():
 
     with StubServer(handler) as server:
         with pytest.raises(RemoteServiceError, match="404"):
-            post_json(f"{server.endpoint}/v1/embed", {}, timeout=5, max_retries=3)
+            ServiceClient(server.endpoint, timeout=5, max_retries=3).post("/v1/embed", {})
     assert calls["n"] == 1
