@@ -32,6 +32,9 @@ logger = logging.getLogger(__name__)
 # vocabulary, but real servers report slightly unnormalized values; allow a
 # small overshoot instead of rejecting them.
 PROBABILITY_SUM_SLACK = 1e-2
+# A single candidate above this would alone overshoot the slack; rejecting it
+# first also keeps ``math.exp`` from overflowing on a huge logprob.
+MAX_CANDIDATE_LOGPROB = math.log1p(PROBABILITY_SUM_SLACK)
 
 
 class BackendError(Exception):
@@ -96,6 +99,11 @@ def validate_generation_result(
             )
         if not (math.isfinite(logp) and all(map(math.isfinite, cands.values()))):
             raise ProtocolViolationError(f"step {step}: non-finite logprob")
+        top = max(cands.values())
+        if top > MAX_CANDIDATE_LOGPROB:
+            raise ProtocolViolationError(
+                f"step {step}: candidate logprob {top!r} implies a probability above 1"
+            )
         total = sum(math.exp(lp) for lp in cands.values())
         if total > 1.0 + PROBABILITY_SUM_SLACK:
             raise ProtocolViolationError(
@@ -104,7 +112,12 @@ def validate_generation_result(
 
 
 class GenerativeBackend(Protocol):
-    """Shareable across threads; one call per constrained decoding step."""
+    """Shareable across threads; one call per constrained decoding step.
+
+    A backend whose class sets ``deterministic = True`` promises the same
+    result for the same (prompt, allowed, max_tokens) step, so a repeated
+    step may be answered by :class:`StepMemo` instead.
+    """
 
     control_tokens: frozenset[str]
 
@@ -123,6 +136,38 @@ def check_backend_conformance(backend: GenerativeBackend) -> None:
         raise ConformanceError(
             f"backend does not declare control tokens: {sorted(missing)}"
         )
+
+
+class StepMemo:
+    """Wraps a deterministic backend and answers a repeated step from memory.
+
+    Keyed on (allowed set, max_tokens, segment kinds and payloads). Only
+    successes are stored, so a failing step fails again on its next call.
+    Made for one sample's steps and dropped after them: no two samples share
+    a question, so a longer-lived memo would hold entries that never hit.
+    """
+
+    def __init__(self, backend: GenerativeBackend):
+        self.backend = backend
+        self.control_tokens = backend.control_tokens
+        self._results: dict[tuple, GenerationResult] = {}
+
+    def constrained_generate(
+        self,
+        prompt: Sequence[PromptSegment],
+        allowed: Iterable[str] | None = None,
+        max_tokens: int | None = None,
+    ) -> GenerationResult:
+        key = (
+            None if allowed is None else frozenset(allowed),
+            max_tokens,
+            tuple((s.kind, s.payload) for s in prompt),
+        )
+        result = self._results.get(key)
+        if result is None:
+            result = self.backend.constrained_generate(prompt, allowed, max_tokens)
+            self._results[key] = result
+        return result
 
 
 # --------------------------------------------------------------------------
@@ -193,6 +238,8 @@ class MockBackend:
     restriction) wins. Register everything up front: the rule list is
     read-only during generation, so concurrent calls are safe.
     """
+
+    deterministic = True
 
     def __init__(self, control_tokens: Iterable[str] = CONTROL_TOKENS):
         self.control_tokens = frozenset(control_tokens)
@@ -383,6 +430,7 @@ __all__ = [
     "ScriptError",
     "ScriptedResponse",
     "ServiceClient",
+    "StepMemo",
     "TransportError",
     "UnscriptedPromptError",
     "check_backend_conformance",

@@ -10,6 +10,7 @@ error, 3 partial batch failure (a failure manifest is written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -55,7 +56,7 @@ from .kb import KBLoadError, load_kb
 from .samples import QuerySample, SampleError, load_samples
 from .similarity import LexicalOverlapScorer
 from .synth import RuleBackend
-from .util import atomic_write_text, dataclass_from_dict
+from .util import atomic_open, atomic_write_text, dataclass_from_dict
 
 logger = logging.getLogger(__name__)
 
@@ -210,15 +211,20 @@ def _build_backend(
     raise ConfigurationError(f"unknown backend kind {spec.kind!r}")
 
 
-def _build_engine(config: RunConfig, samples: list[QuerySample] | None = None) -> ReflectiveEngine:
+def _build_engine(
+    config: RunConfig,
+    samples: list[QuerySample] | None = None,
+    rerank_strategy: RerankStrategy | None = None,
+) -> ReflectiveEngine:
+    """An engine for the run; it gets a remote reranker when
+    ``rerank_strategy``, or else the pipeline config's, is external."""
     kb = load_kb(config.kb_path) if config.kb_path else None
     index = load_index(config.index_path) if config.index_path else None
     backend = _build_backend(config, samples)
+    if rerank_strategy is None and config.pipeline.rerank is not None:
+        rerank_strategy = config.pipeline.rerank.strategy
     reranker = None
-    if (
-        config.pipeline.rerank is not None
-        and config.pipeline.rerank.strategy is RerankStrategy.EXTERNAL
-    ):
+    if rerank_strategy is RerankStrategy.EXTERNAL:
         reranker = RemotePassageReranker(config.backend.client)
     return ReflectiveEngine(
         backend=backend,
@@ -318,23 +324,25 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         raise ConfigurationError("eval requires --dataset")
     samples = load_samples(config.dataset_path)
     engine = _build_engine(config, samples)
-    jobs = config.effective_jobs()
     out_dir = _out_dir(config)
 
     variants = _parse_variants(args.variants)
-    reports: dict[str, harness.EvalReport] = {}
-    failures: list[tuple[str, str]] = []
-    for name in variants:
-        # Write and drop each variant's traces before the next variant runs,
-        # so at most one variant's traces are held in memory.
-        run = harness.evaluate_dataset(
-            engine, samples, variant_config(name, config.pipeline), jobs=jobs,
-            rel_tol=args.rel_tol, include_timings=not args.no_timings,
+    with contextlib.ExitStack() as stack:
+        files = [
+            stack.enter_context(atomic_open(out_dir / f"traces_{name.value}.jsonl"))
+            for name in variants
+        ]
+        runs = harness.evaluate_configs(
+            engine, samples, [variant_config(name, config.pipeline) for name in variants],
+            jobs=config.effective_jobs(), rel_tol=args.rel_tol,
+            include_timings=not args.no_timings, sinks=[f.write for f in files],
         )
-        reports[name.value] = run.report
-        failures.extend((f"{name.value}:{sid}", err) for sid, err in run.failures)
-        write_traces(run.traces, out_dir / f"traces_{name.value}.jsonl")
-        del run
+    reports = {name.value: run.report for name, run in zip(variants, runs)}
+    failures = [
+        (f"{name.value}:{sid}", err)
+        for name, run in zip(variants, runs)
+        for sid, err in run.failures
+    ]
     harness.write_report(out_dir / "eval_report.json", reports, seed=config.seed)
     if args.csv:
         atomic_write_text(out_dir / "eval_report.csv", harness.reports_to_csv(reports))
@@ -395,32 +403,37 @@ def cmd_rerank_sweep(args: argparse.Namespace, config: RunConfig) -> int:
     if not config.dataset_path:
         raise ConfigurationError("rerank-sweep requires --dataset")
     samples = load_samples(config.dataset_path)
-    engine = _build_engine(config, samples)
     ks = [int(v) for v in args.ks.split(",")]
     kps = [int(v) for v in args.kps.split(",")]
     strategy = RerankStrategy(args.strategy)
-    jobs = config.effective_jobs()
-    grid = []
-    for k in ks:
-        for kp in kps:
-            cell_config = dataclasses.replace(
+    engine = _build_engine(config, samples, strategy)
+    cells = [(k, kp) for k in ks for kp in kps]
+    runs = harness.evaluate_configs(
+        engine,
+        samples,
+        [
+            dataclasses.replace(
                 config.pipeline,
                 top_k_docs=k,
                 rerank=RerankConfig(strategy=strategy, top_passages=kp),
             )
-            run = harness.evaluate_dataset(engine, samples, cell_config, jobs=jobs)
-            if run.failures:
-                raise PipelineError(
-                    f"k={k} k_p={kp}: {len(run.failures)} samples failed"
-                )
-            grid.append(
-                {
-                    "k": k,
-                    "k_p": kp,
-                    "vqa_accuracy": run.report.metrics["vqa_accuracy"].value,
-                    "num_samples": run.report.num_samples,
-                }
-            )
+            for k, kp in cells
+        ],
+        jobs=config.effective_jobs(),
+        sinks=[None] * len(cells),
+    )
+    grid = []
+    for (k, kp), run in zip(cells, runs):
+        if run.failures:
+            raise PipelineError(f"k={k} k_p={kp}: {len(run.failures)} samples failed")
+        grid.append(
+            {
+                "k": k,
+                "k_p": kp,
+                "vqa_accuracy": run.report.metrics["vqa_accuracy"].value,
+                "num_samples": run.report.num_samples,
+            }
+        )
     out_dir = _out_dir(config)
     atomic_write_text(
         out_dir / "rerank_sweep.json",

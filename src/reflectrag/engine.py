@@ -353,30 +353,29 @@ def _answer(
 
 
 class _HitTable:
-    """Hits of a fixed set of samples, searched together on first use.
+    """Hits of a fixed set of samples, searched together per k on first use.
 
-    The first lookup runs one :func:`search_batch` over every sample under a
-    lock, so concurrent workers wait for that one burst instead of each
-    calling BLAS per sample.
+    The first lookup at a given k runs one :func:`search_batch` over every
+    sample under a lock, so concurrent workers wait for that one burst
+    instead of each calling BLAS per sample. Configs that retrieve the same
+    k share its burst.
     """
 
-    def __init__(self, index: DenseIndex, samples: Sequence[QuerySample], k: int):
-        self._k = k
+    def __init__(self, index: DenseIndex, samples: Sequence[QuerySample]):
         self._index = index
         self._samples = samples
         self._lock = threading.Lock()
-        self._hits: dict[QuerySample, list[RetrievalHit]] | None = None
+        self._hits: dict[int, dict[QuerySample, list[RetrievalHit]]] = {}
 
     def get(self, sample: QuerySample, k: int) -> list[RetrievalHit] | None:
-        if k != self._k:
-            return None
         with self._lock:
-            if self._hits is None:
+            hits = self._hits.get(k)
+            if hits is None:
                 vectors = [s.image_embedding for s in self._samples]
-                self._hits = dict(
+                hits = self._hits[k] = dict(
                     zip(self._samples, search_batch(self._index, vectors, k))
                 )
-        return self._hits.get(sample)
+        return hits.get(sample)
 
 
 class ReflectiveEngine:
@@ -397,21 +396,15 @@ class ReflectiveEngine:
         self.reranker = reranker
         self._hit_table: _HitTable | None = None
 
-    def with_batched_search(
-        self, samples: Sequence[QuerySample], config: PipelineConfig
-    ) -> ReflectiveEngine:
+    def with_batched_search(self, samples: Sequence[QuerySample]) -> ReflectiveEngine:
         """A copy that searches every sample of ``samples`` that can retrieve
-        in one batch, when the first of them retrieves.
+        in one batch per k, when the first of them retrieves at that k.
 
-        A sample can retrieve when the index and KB are loaded, ``config``
-        does not force NORET and its embedding has the index's dimension.
-        Other samples still search one by one, and fail there as they would.
+        A sample can retrieve when the index and KB are loaded and its
+        embedding has the index's dimension. Other samples still search one
+        by one, and fail there as they would.
         """
-        if (
-            self.index is None
-            or self.kb is None
-            or config.force_decision is ForcedDecision.ALWAYS_NORET
-        ):
+        if self.index is None or self.kb is None:
             return self
         dim = (self.index.dim,)
         ready = [
@@ -421,7 +414,13 @@ class ReflectiveEngine:
         if not ready:
             return self
         engine = copy.copy(self)
-        engine._hit_table = _HitTable(self.index, ready, config.top_k_docs)
+        engine._hit_table = _HitTable(self.index, ready)
+        return engine
+
+    def with_backend(self, backend: GenerativeBackend) -> ReflectiveEngine:
+        """A copy that sends its steps to ``backend``; it keeps the hit table."""
+        engine = copy.copy(self)
+        engine.backend = backend
         return engine
 
     # -- phases ------------------------------------------------------------

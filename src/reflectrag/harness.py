@@ -15,8 +15,9 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
+from .backend import StepMemo
 from .engine import (
     ForcedDecision,
     PipelineConfig,
@@ -33,7 +34,7 @@ from .metrics import (
 )
 from .samples import QuerySample
 from .tokens import ReflectiveToken
-from .util import atomic_write_text
+from .util import atomic_write_text, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -194,11 +195,102 @@ def evaluate_traces(
     )
 
 
+def score_fields(trace: dict) -> dict:
+    """The fields of a trace dict that :func:`evaluate_traces` reads."""
+    return {
+        "sample_id": trace["sample_id"],
+        "decision": {"token": trace["decision"]["token"]},
+        "forced": trace["forced"],
+        "selected": trace["selected"],
+        "answer": trace["answer"],
+        "fallback": trace["fallback"],
+        "judge_failures": trace["judge_failures"],
+    }
+
+
 @dataclass(frozen=True)
 class EvalRun:
     report: EvalReport
-    traces: list[dict]
+    traces: list[dict]  # empty when the run streamed its traces to a sink
     failures: list[tuple[str, str]]
+
+
+def evaluate_configs(
+    engine: ReflectiveEngine,
+    samples: Sequence[QuerySample],
+    configs: Sequence[PipelineConfig],
+    jobs: int = 1,
+    rel_tol: float = 0.05,
+    include_timings: bool = True,
+    sinks: Sequence[Callable[[str], object] | None] | None = None,
+) -> list[EvalRun]:
+    """Run every config over a dataset in one pass and score each config.
+
+    One task runs every config of one sample back to back; tasks run
+    independently (optionally in parallel) and are consumed in sample-id
+    order, so concurrency never changes the output. With more than one config
+    and a deterministic backend, each task answers a repeated step from a
+    :class:`StepMemo` made for its sample. The first sample that retrieves at
+    a given k searches the index for every sample that can, in one batch
+    (:meth:`ReflectiveEngine.with_batched_search`).
+
+    Without ``sinks`` each run keeps its trace dicts. With them, config i's
+    trace lines (JSON, newline-terminated, serialized in the worker) go to
+    ``sinks[i]`` as samples complete, or nowhere when it is ``None``, and
+    only :func:`score_fields` of each trace is held for scoring.
+    """
+    ordered = sorted(samples, key=lambda s: s.id)
+    engine = engine.with_batched_search(ordered)
+    memo = len(configs) > 1 and getattr(engine.backend, "deterministic", False) is True
+
+    def encode(i: int, trace: dict) -> tuple[str | dict | None, dict]:
+        if sinks is None:
+            return trace, trace
+        return (json_line(trace) if sinks[i] else None), score_fields(trace)
+
+    def run_sample(sample: QuerySample) -> list[tuple | str]:
+        task = engine.with_backend(StepMemo(engine.backend)) if memo else engine
+        outcomes: list[tuple | str] = []
+        for i, config in enumerate(configs):
+            try:
+                trace = trace_to_dict(task.run(sample, config), include_timings)
+            except Exception as exc:  # noqa: BLE001 - failures become the manifest
+                outcomes.append(f"{type(exc).__name__}: {exc}")
+            else:
+                outcomes.append(encode(i, trace))
+        return outcomes
+
+    traces: list[list] = [[] for _ in configs]
+    scored: list[list[dict]] = [[] for _ in configs]
+    failures: list[list[tuple[str, str]]] = [[] for _ in configs]
+
+    def consume(results) -> None:
+        for sample, outcomes in zip(ordered, results):
+            for i, outcome in enumerate(outcomes):
+                if isinstance(outcome, str):
+                    failures[i].append((sample.id, outcome))
+                    continue
+                kept, projected = outcome
+                if sinks is None:
+                    traces[i].append(kept)
+                elif kept is not None:
+                    sinks[i](kept + "\n")
+                scored[i].append(projected)
+
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            consume(pool.map(run_sample, ordered))
+    else:
+        consume(map(run_sample, ordered))
+
+    runs = []
+    for kept, projected, failed in zip(traces, scored, failures):
+        for sid, err in failed:
+            logger.error("pipeline failed for %s: %s", sid, err)
+        if not projected:
+            raise RuntimeError("every sample failed; no report to produce")
+        runs.append(EvalRun(evaluate_traces(projected, ordered, rel_tol), kept, failed))
+    return runs
 
 
 def evaluate_dataset(
@@ -209,37 +301,10 @@ def evaluate_dataset(
     rel_tol: float = 0.05,
     include_timings: bool = True,
 ) -> EvalRun:
-    """Run the pipeline over a dataset and score the results.
-
-    Samples run independently (optionally in parallel); traces are assembled
-    in sample-id order so concurrency never changes the output. The first
-    sample that retrieves searches the index for every sample that can, in
-    one batch (:meth:`ReflectiveEngine.with_batched_search`).
-    """
-    ordered = sorted(samples, key=lambda s: s.id)
-    engine = engine.with_batched_search(ordered, config)
-
-    def run_one(sample: QuerySample) -> tuple[str, dict | None, str | None]:
-        try:
-            trace = engine.run(sample, config)
-            return sample.id, trace_to_dict(trace, include_timings), None
-        except Exception as exc:  # noqa: BLE001 - failures become the manifest
-            return sample.id, None, f"{type(exc).__name__}: {exc}"
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, ordered))
-    else:
-        results = [run_one(s) for s in ordered]
-
-    traces = [t for _, t, _ in results if t is not None]
-    failures = [(sid, err) for sid, _, err in results if err is not None]
-    for sid, err in failures:
-        logger.error("pipeline failed for %s: %s", sid, err)
-    if not traces:
-        raise RuntimeError("every sample failed; no report to produce")
-    report = evaluate_traces(traces, ordered, rel_tol)
-    return EvalRun(report=report, traces=traces, failures=failures)
+    """Run the pipeline over a dataset and score it: the one-config case of
+    :func:`evaluate_configs`, keeping the trace dicts."""
+    [run] = evaluate_configs(engine, samples, [config], jobs, rel_tol, include_timings)
+    return run
 
 
 # --------------------------------------------------------------------------

@@ -214,6 +214,8 @@ class RuleBackend:
     non-trivial yet reproducible.
     """
 
+    deterministic = True
+
     def __init__(
         self,
         answers_by_question: dict[str, tuple[str, ...]],

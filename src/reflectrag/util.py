@@ -1,13 +1,14 @@
-"""Shared helpers: compact JSON lines, atomic file writes, config
-dataclasses from JSON objects."""
+"""Shared helpers: compact JSON lines, atomic file writes (one-shot and
+streamed), config dataclasses from JSON objects."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, TypeVar
+from typing import IO, Any, Callable, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -17,17 +18,21 @@ def json_line(obj: Any) -> str:
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
-    """Write via a temp file in the same directory plus rename.
+@contextlib.contextmanager
+def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Yield a handle on a temp file in ``path``'s directory; rename it to
+    ``path`` when the block exits normally, delete it when the block raises.
 
-    An interrupted run never leaves a half-written file behind.
+    An interrupted run never leaves a half-written file behind. Text modes
+    write UTF-8 and never translate newlines.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+        text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+        with os.fdopen(fd, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -35,6 +40,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         except OSError:
             pass
         raise
+
+
+def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(data)
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -14,10 +14,12 @@ from reflectrag.backend import (
     ScriptError,
     ScriptedResponse,
     ServiceClient,
+    StepMemo,
     TransportError,
     UnscriptedPromptError,
     check_backend_conformance,
     load_script_file,
+    match_passage_contains,
     match_user_text,
     validate_generation_result,
 )
@@ -153,6 +155,27 @@ def test_register_failure_injects_backend_error():
         backend.constrained_generate(DECISION_PROMPT)
 
 
+def test_step_memo_answers_repeats_and_stores_no_failure():
+    backend = MockBackend()
+    backend.register_failure(match_passage_contains("broken"), "boom", allowed=RELEVANCE_TOKENS)
+    backend.register_script(
+        match_user_text("What color is the car?"), ScriptedResponse(("<NORET>",)),
+        allowed=DECISION_TOKENS,
+    )
+    backend.register_script(match_user_text("What color is the car?"), ScriptedResponse(("Black",)))
+    memo = StepMemo(backend)
+    assert memo.control_tokens == backend.control_tokens
+    first = memo.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
+    assert memo.constrained_generate(DECISION_PROMPT, list(DECISION_TOKENS), 1) is first
+    assert memo.constrained_generate(DECISION_PROMPT, None, None).text == "Black"
+    assert len(backend.calls) == 2  # allowed and max_tokens are part of the key
+    judge = build_prompt(PromptStage.JUDGMENT, "What color is the car?", "img-1", ["broken"])
+    for _ in range(2):
+        with pytest.raises(BackendError, match="boom"):
+            memo.constrained_generate(judge, RELEVANCE_TOKENS, 1)
+    assert len(backend.calls) == 4  # a failed step is asked again
+
+
 def test_conformance_check():
     backend = MockBackend()
     check_backend_conformance(backend)
@@ -209,6 +232,16 @@ class TestResultValidation:
             candidate_logprobs=({"<REL>": bad, "<NOREL>": 0.0},),
         )
         with pytest.raises(ProtocolViolationError, match="non-finite"):
+            validate_generation_result(result, frozenset(RELEVANCE_TOKENS))
+
+
+    def test_huge_candidate_logprob_rejected_without_overflow(self):
+        result = GenerationResult(
+            tokens=("<REL>",),
+            chosen_logprobs=(1000.0,),
+            candidate_logprobs=({"<NOREL>": 0.0, "<REL>": 1000.0},),
+        )
+        with pytest.raises(ProtocolViolationError, match="above 1"):
             validate_generation_result(result, frozenset(RELEVANCE_TOKENS))
 
 
@@ -302,3 +335,39 @@ class TestRemoteBackend:
         with pytest.raises(TransportError) as exc_info:
             backend.constrained_generate(DECISION_PROMPT)
         assert exc_info.value.attempts == 2
+
+
+def test_huge_remote_logprob_costs_one_judgment_not_the_sample():
+    from reflectrag.engine import PipelineConfig, ReflectiveEngine
+    from reflectrag.index import RetrievalMode, build_index
+    from reflectrag.prompts import PromptSegment, SegmentKind
+    from reflectrag.synth import RuleBackend, make_synthetic_suite
+
+    suite = make_synthetic_suite(num_docs=6, num_fact_samples=1, num_noret_samples=0, seed=5)
+    rule = RuleBackend(suite.answers_by_question, suite.direct_answers)
+    judged = []
+
+    def handler(path, payload):
+        if payload["allowed_tokens"] == sorted(RELEVANCE_TOKENS):
+            judged.append(None)
+            if len(judged) == 1:
+                return 200, {"tokens": ["<REL>"], "chosen_logprobs": [1000.0],
+                             "candidates": [{"<NOREL>": 0.0, "<REL>": 1000.0}]}
+        result = rule.constrained_generate(
+            [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
+            payload["allowed_tokens"],
+            payload["max_tokens"],
+        )
+        return 200, {"tokens": list(result.tokens),
+                     "chosen_logprobs": list(result.chosen_logprobs),
+                     "candidates": [dict(c) for c in result.candidate_logprobs]}
+
+    with StubServer(handler) as server:
+        engine = ReflectiveEngine(
+            RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1)),
+            kb=suite.kb,
+            index=build_index(suite.kb, RetrievalMode.VISUAL),
+        )
+        trace = engine.run(suite.samples[0], PipelineConfig())
+    assert trace.judge_failures == 1
+    assert len(trace.judgments) == len(trace.candidates) - 1 == len(judged) - 1

@@ -480,13 +480,31 @@ class TestBatchedSearch:
         assert sum(1 for t in traces if t["hits"]) > 32
 
 
-def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
-    from reflectrag.prompts import PromptSegment, SegmentKind
-
-    kb, index, dataset = block_corpus
+def rule_backend_for(dataset):
     config = load_run_config(None)
     config.backend.kind = "rule"
-    rule = _build_backend(config, load_samples(dataset))
+    return _build_backend(config, load_samples(dataset))
+
+
+def rule_reply(rule, payload):
+    """The /v1/generate response body of the rule backend for ``payload``."""
+    from reflectrag.prompts import PromptSegment, SegmentKind
+
+    result = rule.constrained_generate(
+        [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
+        payload["allowed_tokens"],
+        payload["max_tokens"],
+    )
+    return {
+        "tokens": list(result.tokens),
+        "chosen_logprobs": list(result.chosen_logprobs),
+        "candidates": [dict(c) for c in result.candidate_logprobs],
+    }
+
+
+def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
+    kb, index, dataset = block_corpus
+    rule = rule_backend_for(dataset)
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}
 
@@ -496,19 +514,10 @@ def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
             state["peak"] = max(state["peak"], state["now"])
         try:
             time.sleep(0.002)
-            result = rule.constrained_generate(
-                [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
-                payload["allowed_tokens"],
-                payload["max_tokens"],
-            )
+            return 200, rule_reply(rule, payload)
         finally:
             with lock:
                 state["now"] -= 1
-        return 200, {
-            "tokens": list(result.tokens),
-            "chosen_logprobs": list(result.chosen_logprobs),
-            "candidates": [dict(c) for c in result.candidate_logprobs],
-        }
 
     with StubServer(handler, keep_alive=True) as server:
         code = run(eval_args(block_corpus, dataset, tmp_path / "remote", "--jobs", 3,
@@ -542,3 +551,98 @@ class TestPartialFailure:
         assert "s0000" in manifest["failures"][0]["sample"]
         # the report over the surviving samples is still written
         assert (out / "eval_report.json").exists()
+
+
+FIVE_VARIANTS = "full,always_ret,external_scorer_passages,random_passages_norel,no_kb"
+
+
+def trace_steps(path):
+    """Backend steps the traces in ``path`` record: the decision, every
+    judgment asked (failed ones included) and the answer."""
+    return sum(
+        2 + len(t["judgments"]) + t["judge_failures"] for t in read_traces(path)
+    )
+
+
+class TestOnePassEval:
+    def test_five_variants_jobs_identical_and_every_step_distinct(
+        self, synthetic_files, tmp_path, monkeypatch
+    ):
+        from reflectrag.synth import RuleBackend
+
+        steps = []
+        original = RuleBackend.constrained_generate
+
+        def counting(self, prompt, allowed=None, max_tokens=None):
+            key = tuple((s.kind, s.payload) for s in prompt)
+            steps.append((key, None if allowed is None else frozenset(allowed), max_tokens))
+            return original(self, prompt, allowed, max_tokens)
+
+        monkeypatch.setattr(RuleBackend, "constrained_generate", counting)
+        files = synthetic_files
+        for jobs in (1, 4):
+            steps.clear()
+            out = tmp_path / f"j{jobs}"
+            code = run(eval_args((files.kb, files.index, None), files.dataset, out,
+                                 "--jobs", jobs, "--variants", FIVE_VARIANTS))
+            assert code == 0
+            assert len(steps) == len(set(steps))
+            recorded = sum(trace_steps(p) for p in out.glob("traces_*.jsonl"))
+            assert len(steps) < recorded  # the memo answered the repeats
+        names = ["eval_report.json"] + [f"traces_{v}.jsonl" for v in FIVE_VARIANTS.split(",")]
+        for name in names:
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j4" / name).read_bytes()
+        assert sorted(p.name for p in (tmp_path / "j1").iterdir()) == sorted(names)
+
+    def test_remote_backend_is_never_memoized(self, synthetic_files, tmp_path):
+        files = synthetic_files
+        corpus = (files.kb, files.index, None)
+        rule = rule_backend_for(files.dataset)
+        with StubServer(lambda path, payload: (200, rule_reply(rule, payload)),
+                        keep_alive=True) as server:
+            code = run(eval_args(corpus, files.dataset, tmp_path / "remote", "--jobs", 4,
+                                 "--variants", "full,always_ret", "--backend", "remote",
+                                 "--endpoint", server.endpoint))
+        assert code == 0
+        traces = [tmp_path / "remote" / f"traces_{v}.jsonl" for v in ("full", "always_ret")]
+        assert len(server.requests) == sum(trace_steps(p) for p in traces)
+        assert run(eval_args(corpus, files.dataset, tmp_path / "rule", "--jobs", 4,
+                             "--variants", "full,always_ret")) == 0
+        for name in ("eval_report.json", "traces_full.jsonl", "traces_always_ret.jsonl"):
+            assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+    def test_every_sample_failed_writes_nothing(self, synthetic_files, tmp_path, capsys):
+        files = synthetic_files
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"backend": {"max_retries": 1}}))
+        out = tmp_path / "out"
+        # no_kb never reranks and succeeds; always_ret reranks every sample
+        # through a dead service, so every one of its samples fails.
+        code = run(eval_args((files.kb, files.index, None), files.dataset, out,
+                             "--variants", "no_kb,always_ret", "--rerank", "external",
+                             "--kp", 1, "--config", config,
+                             "--endpoint", "http://127.0.0.1:1"))
+        assert code == 2
+        assert "every sample failed" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+
+def test_rerank_sweep_external_strategy_builds_its_reranker(synthetic_files, tmp_path):
+    files = synthetic_files
+
+    def reverse(path, payload):
+        return 200, {"order": list(reversed(range(len(payload["passages"]))))}
+
+    with StubServer(reverse, keep_alive=True) as server:
+        code = run([
+            "rerank-sweep", "--kb", files.kb, "--index", files.index,
+            "--dataset", files.dataset, "--backend", "rule", "--strategy", "external",
+            "--endpoint", server.endpoint, "--ks", "2,5", "--kps", "1,3",
+            "--out", tmp_path / "sweep",
+        ])
+    assert code == 0
+    sweep = json.loads((tmp_path / "sweep" / "rerank_sweep.json").read_text())
+    assert sweep["strategy"] == "external"
+    assert len(sweep["grid"]) == 4
+    retrieving = sum(1 for s in load_samples(files.dataset) if s.gold_doc_id is not None)
+    assert [path for path, _ in server.requests] == ["/v1/rerank"] * (retrieving * 4)

@@ -8,10 +8,12 @@ from reflectrag.harness import (
     AblationName,
     PassageExpectation,
     TokenExpectation,
+    evaluate_configs,
     evaluate_dataset,
     evaluate_traces,
     load_expectations,
     reports_to_csv,
+    score_fields,
     token_accuracy,
     variant_config,
 )
@@ -94,6 +96,17 @@ class TestEvaluate:
         no_kb = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
         assert not evaluate_dataset(engine, suite.samples, no_kb, jobs=4).failures
         assert batches == [len(suite.samples)] * 2
+        # Configs of one pass that retrieve the same k share its burst.
+        configs = [
+            PipelineConfig(seed=3),
+            variant_config(AblationName.ALWAYS_RET, PipelineConfig(seed=3)),
+            PipelineConfig(top_k_docs=2, seed=3),
+            no_kb,
+        ]
+        runs = evaluate_configs(engine, suite.samples, configs, jobs=12, include_timings=False)
+        assert not any(run.failures for run in runs)
+        assert runs[0].traces == serial.traces
+        assert batches == [len(suite.samples)] * 4
 
     def test_rescoring_trace_file_is_pure(self, small_run, tmp_path):
         suite, engine = small_run
@@ -141,6 +154,61 @@ class TestEvaluate:
         run = evaluate_dataset(engine, samples, PipelineConfig(seed=3))
         assert len(run.traces) == len(samples)
         assert run.report.num_samples == len(samples) - 1
+
+
+class TestOnePass:
+    def test_projection_scores_like_full_traces(self, golden_dir):
+        import protocol_suite
+
+        traces = read_trace_dicts(golden_dir / "golden_traces.jsonl")
+        samples = [
+            scenario.sample(f"ps{i + 1:02d}")
+            for i, scenario in enumerate(protocol_suite.scenarios())
+        ]
+        full = evaluate_traces(traces, samples).to_dict()
+        assert evaluate_traces([score_fields(t) for t in traces], samples).to_dict() == full
+
+    def test_failed_judgment_counts_in_every_variant(self):
+        import protocol_suite
+        from reflectrag.tokens import DECISION_TOKENS, RELEVANCE_TOKENS
+
+        kb = protocol_suite.build_kb()
+        [scenario] = [s for s in protocol_suite.scenarios() if s.name == "s19-judge-failure"]
+        backend = protocol_suite.build_backend(scenario)
+        engine = ReflectiveEngine(backend, kb=kb, index=build_index(kb, RetrievalMode.VISUAL))
+        configs = [
+            variant_config(name, scenario.config)
+            for name in (AblationName.FULL, AblationName.ALWAYS_RET)
+        ]
+        runs = evaluate_configs(engine, [scenario.sample("ps19")], configs)
+        assert [run.traces[0]["judge_failures"] for run in runs] == [1, 1]
+        assert [len(run.traces[0]["judgments"]) for run in runs] == [1, 1]
+        by_stage = [c.allowed for c in backend.calls]
+        # The decision, the good judgment and the answer are asked once; the
+        # failing judgment is asked again by the second variant.
+        assert by_stage.count(DECISION_TOKENS) == 1
+        assert by_stage.count(RELEVANCE_TOKENS) == 3
+        assert by_stage.count(None) == 1
+
+    def test_streamed_lines_equal_kept_traces(self, small_run):
+        suite, engine = small_run
+        configs = [
+            variant_config(name, PipelineConfig(seed=3))
+            for name in (AblationName.FULL, AblationName.NO_KB)
+        ]
+        lines: list[list[str]] = [[], []]
+        streamed = evaluate_configs(
+            engine, suite.samples, configs, jobs=3, include_timings=False,
+            sinks=[lines[0].append, lines[1].append],
+        )
+        kept = evaluate_configs(engine, suite.samples, configs, include_timings=False)
+        for i in range(2):
+            assert streamed[i].traces == []
+            assert [json.loads(line) for line in lines[i]] == kept[i].traces
+            assert all(line.endswith("}\n") for line in lines[i])
+            assert streamed[i].report == kept[i].report
+        dropped = evaluate_configs(engine, suite.samples, configs, sinks=[None, None])
+        assert [run.report for run in dropped] == [run.report for run in kept]
 
 
 class TestAblations:
