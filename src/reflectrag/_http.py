@@ -10,22 +10,38 @@ has concurrent requests, not one per request. Proxy settings
 (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) are read from the environment
 once per (scheme, host, port).
 
-Retries transport-level failures (connection errors, timeouts, 5xx) with
-exponential backoff; other non-2xx responses fail immediately. A pooled
-connection that the server closed while it sat idle is replaced at once,
-without counting as an attempt.
+``http.client`` only opens connections (TLS, ``CONNECT`` tunnelling,
+``TCP_NODELAY``). Each request is one write of a head built once per origin,
+its ``Content-Length`` and the body. The response reader accepts HTTP/1.0
+and HTTP/1.1, skips interim 1xx responses, and reads a body framed by
+``Content-Length``, ``chunked`` encoding, or the server closing the
+connection. A connection goes back to the pool unless the response closes
+it: ``Connection: close`` in HTTP/1.1, no ``Connection: keep-alive`` in
+HTTP/1.0, or a close-framed body. A status, header or chunk-size line over
+65,536 bytes, more than 100 headers, a garbled status line, a negative or
+non-integer ``Content-Length`` and a short body raise the
+``http.client`` exception for it, and count as a failed attempt.
+
+Retries transport-level failures (connection errors, timeouts, the broken
+responses above, 5xx) with exponential backoff; other non-2xx responses,
+redirects included, fail immediately. A pooled connection that the server
+closed while it sat idle is replaced at once, without counting as an
+attempt.
 """
 from __future__ import annotations
 
 import base64
+import functools
 import http.client
 import json
 import logging
 import os
+import socket
 import ssl
 import threading
 import time
 import urllib.request
+from typing import BinaryIO
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
@@ -33,6 +49,9 @@ logger = logging.getLogger(__name__)
 # Idle connections kept per origin. More concurrent callers still work; the
 # surplus connections are closed when they are returned.
 MAX_IDLE_PER_ORIGIN = 16
+# Longest status, header or chunk-size line, and most headers, in a response.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 
 
 class TransportError(Exception):
@@ -63,8 +82,8 @@ class _Origin:
     """Idle connections to one (scheme, host, port), and how to open more."""
 
     def __init__(self, scheme: str, host: str, port: int):
-        self._headers = {"Content-Type": "application/json", "Accept": "application/json"}
-        self._idle: list[http.client.HTTPConnection] = []
+        headers = {"Content-Type": "application/json", "Accept": "application/json"}
+        self._idle: list[tuple[socket.socket, BinaryIO]] = []
         self._lock = threading.Lock()
         self._https = scheme == "https"
         self._context = None
@@ -76,6 +95,7 @@ class _Origin:
                 self._context = ssl.create_default_context(cafile=cafile or None)
         self._address = (host, port)
         self._tunnel: tuple[str, int, dict] | None = None
+        netloc = f"[{host}]" if ":" in host else host
         # Prefix that turns a path into the request target: empty for a
         # direct connection, the origin for an absolute-form proxy request.
         self.target_prefix = ""
@@ -92,11 +112,19 @@ class _Origin:
             if self._https:
                 self._tunnel = (host, port, proxy_headers)
             else:
-                self._headers.update(proxy_headers)
-                netloc = f"[{host}]" if ":" in host else host
+                headers.update(proxy_headers)
                 self.target_prefix = f"http://{netloc}:{port}"
+        if port != (443 if self._https else 80):
+            netloc = f"{netloc}:{port}"
+        headers = {"Host": netloc if netloc.isascii() else netloc.encode("idna").decode()} | headers
+        # Everything of a request after its target, up to the Content-Length value.
+        self._head = (
+            " HTTP/1.1\r\n" + "".join(f"{k}: {v}\r\n" for k, v in headers.items())
+            + "Content-Length: "
+        ).encode("ascii")
 
-    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+    def _connect(self, timeout: float) -> tuple[socket.socket, BinaryIO]:
+        # http.client opens the socket: TCP_NODELAY, TLS and CONNECT tunnelling.
         if self._https:
             conn = http.client.HTTPSConnection(
                 *self._address, timeout=timeout, context=self._context
@@ -106,59 +134,126 @@ class _Origin:
         if self._tunnel is not None:
             host, port, headers = self._tunnel
             conn.set_tunnel(host, port, headers=headers)
-        return conn
+        conn.connect()
+        return conn.sock, conn.sock.makefile("rb")
 
-    def _borrow(self, timeout: float) -> tuple[http.client.HTTPConnection, bool]:
+    def _borrow(self, timeout: float) -> tuple[socket.socket, BinaryIO, bool]:
         with self._lock:
-            conn = self._idle.pop() if self._idle else None
-        if conn is None:
-            return self._connect(timeout), False
-        conn.timeout = timeout
-        if conn.sock is not None:
-            conn.sock.settimeout(timeout)
-        return conn, True
+            idle = self._idle.pop() if self._idle else None
+        if idle is None:
+            return *self._connect(timeout), False
+        idle[0].settimeout(timeout)
+        return *idle, True
 
-    def _release(self, conn: http.client.HTTPConnection) -> None:
+    def _release(self, sock: socket.socket, rfile: BinaryIO) -> None:
         with self._lock:
             if len(self._idle) < MAX_IDLE_PER_ORIGIN:
-                self._idle.append(conn)
+                self._idle.append((sock, rfile))
                 return
-        conn.close()
+        _close(sock, rfile)
 
     def post(self, target: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """One request/response exchange; returns (status, response body)."""
-        conn, reused = self._borrow(timeout)
+        request = b"POST %s%s%d\r\n\r\n%s" % (target.encode("ascii"), self._head, len(body), body)
+        sock, rfile, reused = self._borrow(timeout)
         try:
             try:
-                conn.request("POST", target, body, self._headers)
-                resp = conn.getresponse()
+                sock.sendall(request)
+                status, data, keep_alive = _read_response(rfile)
             except ConnectionError:
                 if not reused:
                     raise
                 # The server closed this connection while it was idle.
-                conn.close()
-                conn = self._connect(timeout)
-                conn.request("POST", target, body, self._headers)
-                resp = conn.getresponse()
-            data = resp.read()
+                _close(sock, rfile)
+                sock, rfile = self._connect(timeout)
+                sock.sendall(request)
+                status, data, keep_alive = _read_response(rfile)
         except BaseException:
-            conn.close()
+            _close(sock, rfile)
             raise
-        if resp.will_close:
-            conn.close()
+        if keep_alive:
+            self._release(sock, rfile)
         else:
-            self._release(conn)
-        return resp.status, data
+            _close(sock, rfile)
+        return status, data
+
+
+def _close(sock: socket.socket, rfile: BinaryIO) -> None:
+    rfile.close()
+    sock.close()
+
+
+def _read_line(rfile: BinaryIO, what: str) -> bytes:
+    line = rfile.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_exactly(rfile: BinaryIO, size: int) -> bytes:
+    data = rfile.read(size)
+    if len(data) < size:
+        raise http.client.IncompleteRead(data, size - len(data))
+    return data
+
+
+def _read_response(rfile: BinaryIO) -> tuple[int, bytes, bool]:
+    """Read one response; returns (status, body, whether the connection stays open)."""
+    status = 100
+    while status < 200:  # skip interim responses
+        line = _read_line(rfile, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        version, _, rest = line.partition(b" ")
+        if not (version.startswith(b"HTTP/1.") and rest[:3].isdigit() and not rest[3:4].strip()):
+            raise http.client.BadStatusLine(line.decode("iso-8859-1"))
+        status = int(rest[:3])
+        headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            if not (line := _read_line(rfile, "header line")).strip():
+                break
+            name, _, value = line.partition(b":")
+            headers[name.strip().lower()] = value.strip()
+        else:
+            raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    connection = headers.get(b"connection", b"").lower()
+    if version == b"HTTP/1.0":
+        keep_alive = b"keep-alive" in connection
+    else:
+        keep_alive = b"close" not in connection
+    if status in (204, 304):
+        return status, b"", keep_alive
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while True:
+            size = _read_line(rfile, "chunk size").split(b";")[0].strip()
+            if not size or size.strip(b"0123456789abcdefABCDEF"):
+                raise http.client.HTTPException(f"invalid chunk size {size!r}")
+            if not (size := int(size, 16)):
+                break
+            chunks.append(_read_exactly(rfile, size + 2)[:-2])  # the chunk and its CRLF
+        while _read_line(rfile, "trailer line").strip():
+            pass
+        return status, b"".join(chunks), keep_alive
+    length = headers.get(b"content-length")
+    if length is None:
+        return status, rfile.read(), False
+    if not length.isdigit():
+        raise http.client.HTTPException(f"invalid Content-Length {length!r}")
+    return status, _read_exactly(rfile, int(length)), keep_alive
 
 
 _origins: dict[tuple[str, str, int], _Origin] = {}
 _origins_lock = threading.Lock()
 
 
+@functools.lru_cache(maxsize=64)
 def _route(url: str) -> tuple[_Origin, str]:
     parts = urlsplit(url)
     if parts.scheme not in ("http", "https") or not parts.hostname:
         raise ValueError(f"unsupported URL {url!r}: expected http:// or https://")
+    if any(c <= " " or c == "\x7f" for c in url):
+        raise ValueError(f"unsupported URL {url!r}: contains whitespace or control characters")
     key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
     with _origins_lock:
         origin = _origins.get(key)

@@ -372,6 +372,18 @@ def load_script_file(backend: MockBackend, path: str | Path) -> int:
 # --------------------------------------------------------------------------
 
 
+def _json_typed(value, *types: type):
+    """``value`` if its exact type is one of ``types``, else :class:`TypeError`.
+
+    Exact, so that a JSON ``true`` is not the number 1; ``float()`` would
+    also take the string ``"-0.1"``, and raises :class:`OverflowError` on a
+    JSON integer beyond the float range.
+    """
+    if type(value) not in types:
+        raise TypeError(f"expected {' or '.join(t.__name__ for t in types)}, got {value!r}")
+    return value
+
+
 class RemoteBackend:
     """Adapter from the generation protocol to a model server's
     ``/v1/generate`` route.
@@ -405,13 +417,16 @@ class RemoteBackend:
             raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
         try:
             result = GenerationResult(
-                tokens=tuple(str(t) for t in body["tokens"]),
-                chosen_logprobs=tuple(float(x) for x in body["chosen_logprobs"]),
+                tokens=tuple(_json_typed(t, str) for t in body["tokens"]),
+                chosen_logprobs=tuple(
+                    float(_json_typed(x, int, float)) for x in body["chosen_logprobs"]
+                ),
                 candidate_logprobs=tuple(
-                    {str(k): float(v) for k, v in c.items()} for c in body["candidates"]
+                    {k: float(_json_typed(v, int, float)) for k, v in c.items()}
+                    for c in body["candidates"]
                 ),
             )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
         validate_generation_result(result, allowed_set)
         return result

@@ -80,7 +80,11 @@ class RemoteTextEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         body = self.client.post("/v1/embed", {"texts": [text]})
-        return np.asarray(body["embeddings"][0], dtype=np.float64)
+        vector = body["embeddings"][0]
+        # Exact types: numpy would read "0.6" and true as numbers.
+        if not isinstance(vector, list) or any(type(x) not in (int, float) for x in vector):
+            raise TypeError(f"embedding is not a list of JSON numbers: {vector!r:.200}")
+        return np.asarray(vector, dtype=np.float64)
 
 
 @dataclass(frozen=True)

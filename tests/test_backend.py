@@ -298,6 +298,26 @@ class TestRemoteBackend:
             with pytest.raises(ProtocolViolationError, match="malformed"):
                 backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
 
+    @pytest.mark.parametrize(
+        "allowed, body",
+        [
+            (RELEVANCE_TOKENS, {"tokens": ["<REL>"], "chosen_logprobs": [-0.1],
+                                "candidates": [{"<REL>": "-0.1", "<NOREL>": "-2.4"}]}),
+            (RELEVANCE_TOKENS, {"tokens": ["<REL>"], "chosen_logprobs": ["-0.1"],
+                                "candidates": [{"<REL>": -0.1, "<NOREL>": -2.4}]}),
+            (RELEVANCE_TOKENS, {"tokens": ["<NOREL>"], "chosen_logprobs": [False],
+                                "candidates": [{"<REL>": -5, "<NOREL>": False}]}),
+            (None, {"tokens": [42], "chosen_logprobs": [0.0], "candidates": [{"42": 0.0}]}),
+            (None, {"tokens": ["a"], "chosen_logprobs": [-10**400], "candidates": [{"a": 0}]}),
+        ],
+        ids=["string-candidate", "string-chosen", "bool-logprob", "number-token", "huge-integer"],
+    )
+    def test_wrong_json_type_is_protocol_violation(self, allowed, body):
+        with StubServer(lambda p, b: (200, body)) as server:
+            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
+            with pytest.raises(ProtocolViolationError, match="malformed"):
+                backend.constrained_generate(DECISION_PROMPT, allowed, 1)
+
     def test_nan_candidate_is_protocol_violation(self):
         # json.loads accepts the NaN literal, so the validator must catch it.
         body = (b'{"tokens": ["<NOREL>"], "chosen_logprobs": [0.0],'

@@ -1,9 +1,18 @@
 """Connection reuse, stale-connection recovery, proxying and concurrency of
-the shared JSON transport, against the in-process stub."""
+the shared JSON transport, against the in-process stub, and its reading of
+the wire format, against a raw-socket server that replays canned bytes."""
+import contextlib
+import http.client
+import re
+import socket
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from reflectrag._http import post_json
+import pytest
+
+from reflectrag import _http
+from reflectrag._http import RemoteServiceError, TransportError, post_json
 
 from stub_server import StubServer
 
@@ -61,3 +70,174 @@ def test_concurrent_calls_never_share_a_connection():
             assert server.connections <= workers
     finally:
         sys.setswitchinterval(switch)
+
+
+class CannedServer:
+    """Raw-socket server that answers the n-th request with the n-th canned reply.
+
+    A reply is ``(bytes, close)``: the bytes go out verbatim, and the server
+    closes the connection after them when ``close`` is true. One connection
+    is served at a time. ``heads`` holds each request's head, up to its
+    blank line; ``connections`` counts the connections accepted.
+    """
+
+    def __init__(self, *replies: tuple[bytes, bool]):
+        self.replies = list(replies)
+        self.heads: list[bytes] = []
+        self.connections = 0
+        self._conn = None
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+
+    @property
+    def endpoint(self) -> str:
+        return "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+
+    def _serve(self):
+        while True:
+            try:
+                self._conn, _ = self._listener.accept()
+            except OSError:
+                return
+            self.connections += 1
+            with self._conn, self._conn.makefile("rb") as rfile:
+                while self.replies:
+                    head = b""
+                    while (line := rfile.readline()) not in (b"\r\n", b""):
+                        head += line
+                    if not line:  # the client closed the connection
+                        break
+                    rfile.read(int(re.search(rb"Content-Length: (\d+)", head)[1]))
+                    self.heads.append(head)
+                    reply, close = self.replies.pop(0)
+                    self._conn.sendall(reply)
+                    if close:
+                        break
+
+    def __enter__(self) -> "CannedServer":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        for sock in (self._listener, self._conn):  # wakes a blocked accept or read
+            with contextlib.suppress(AttributeError, OSError):
+                sock.shutdown(socket.SHUT_RDWR)
+        self._thread.join(timeout=5)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+def ok(version: bytes = b"1.1") -> bytes:
+    return b'HTTP/%s 200 OK\r\nContent-Length: 9\r\n\r\n{"ok": 1}' % version
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [
+        (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"4;ext=1\r\n{\"ok\r\n5\r\n\": 1}\r\n0\r\nX-Trailer: t\r\n\r\n", False),
+        (b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n{\"ok\": 1}", True),
+        (b"HTTP/1.1 100 Continue\r\n\r\n" + ok(), False),
+    ],
+    ids=["chunked", "http10-close-framed", "interim-100"],
+)
+def test_body_framing(reply):
+    with CannedServer(reply) as server:
+        assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {"ok": 1}
+
+
+def test_no_content_response_has_no_body():
+    with CannedServer((b"HTTP/1.1 204 No Content\r\n\r\n", False), (ok(), False)) as server:
+        origin, target = _http._route(server.endpoint + "/v1/x")
+        assert origin.post(target, b"{}", 5) == (204, b"")
+        assert origin.post(target, b"{}", 5) == (200, b'{"ok": 1}')
+        assert server.connections == 1
+
+
+def test_keep_alive_rules_decide_pooling():
+    # The server keeps every connection open: only the client's reading of
+    # the headers decides whether it sends its next request on the same one.
+    replies = [
+        (ok(), False),  # HTTP/1.1 stays open by default
+        (ok().replace(b"OK\r\n", b"OK\r\nConnection: close\r\n"), False),
+        (ok(version=b"1.0").replace(b"OK\r\n", b"OK\r\nConnection: keep-alive\r\n"), False),
+        (ok(version=b"1.0"), False),  # HTTP/1.0 closes by default
+        (ok(), False),
+    ]
+    with CannedServer(*replies) as server:
+        for _ in replies:
+            assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {"ok": 1}
+        assert server.connections == 3
+
+
+def header_line(size: int) -> bytes:
+    """A header line of ``size`` bytes, its CRLF included."""
+    return b"X-Long: " + b"a" * (size - len(b"X-Long: \r\n")) + b"\r\n"
+
+
+STATUS = b"HTTP/1.1 200 OK\r\n"
+CHUNKED = STATUS + b"Transfer-Encoding: chunked\r\n\r\n"
+
+
+@pytest.mark.parametrize(
+    "reply, error",
+    [
+        (STATUS + b"Content-Length: 20\r\n\r\n{\"ok\": 1}", http.client.IncompleteRead),
+        (CHUNKED + b"9\r\n{\"ok\":", http.client.IncompleteRead),
+        (CHUNKED + b"-9\r\n", http.client.HTTPException),
+        (b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n", http.client.BadStatusLine),
+        (STATUS + header_line(65537) + b"\r\n", http.client.LineTooLong),
+        (STATUS + b"X: 1\r\n" * 101 + b"\r\n{}", http.client.HTTPException),
+        (STATUS + b"Content-Length: -1\r\n\r\n{}", http.client.HTTPException),
+        (STATUS + b"Content-Length: 2.0\r\n\r\n{}", http.client.HTTPException),
+        (b"", http.client.RemoteDisconnected),
+    ],
+    ids=["truncated-body", "truncated-chunk", "negative-chunk-size", "garbled-status-line",
+         "65537-byte-header-line", "101-headers", "negative-length", "non-integer-length",
+         "no-response"],
+)
+def test_broken_response_raises_and_is_retried(reply, error):
+    with CannedServer((reply, True), (reply, True), (reply, True)) as server:
+        origin, target = _http._route(server.endpoint + "/v1/x")
+        with pytest.raises(error):
+            origin.post(target, b"{}", 5)
+        with pytest.raises(TransportError) as exc_info:
+            post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=2, backoff=0)
+        assert exc_info.value.attempts == 2
+        assert len(server.heads) == server.connections == 3
+
+
+def test_header_limits_are_inclusive():
+    reply = STATUS + header_line(65536) + b"X: 1\r\n" * 98 + b"Content-Length: 2\r\n\r\n{}"
+    with CannedServer((reply, False)) as server:
+        assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {}
+
+
+def test_redirect_is_neither_followed_nor_retried():
+    reply = b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\nContent-Length: 2\r\n\r\n{}"
+    with CannedServer((reply, False), (ok(), False)) as server:
+        with pytest.raises(RemoteServiceError, match="302"):
+            post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=3)
+        assert len(server.heads) == 1
+
+
+def test_host_names_the_origin(monkeypatch):
+    with CannedServer((ok(), False)) as server:
+        post_json(server.endpoint + "/v1/x?q=1", {"i": 0}, timeout=5, max_retries=1)
+        host = server.endpoint.removeprefix("http://").encode()
+        assert server.heads[0].split(b"\r\n")[:2] == [b"POST /v1/x?q=1 HTTP/1.1", b"Host: " + host]
+    with CannedServer((ok(), False)) as proxy:
+        for name in ("http_proxy", "HTTP_PROXY"):
+            monkeypatch.setenv(name, proxy.endpoint)
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        url = "http://host-check.invalid:8009/v1/generate"
+        post_json(url, {"i": 0}, timeout=5, max_retries=1)
+        assert proxy.heads[0].split(b"\r\n")[:2] == [
+            b"POST " + url.encode() + b" HTTP/1.1", b"Host: host-check.invalid:8009"
+        ]
+
+
+def test_url_with_whitespace_is_refused():
+    with pytest.raises(ValueError, match="unsupported URL"):
+        post_json("http://127.0.0.1:9/v1/x HTTP/1.1\r\nX-Injected: 1", {}, timeout=5)

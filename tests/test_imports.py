@@ -1,5 +1,6 @@
 """Every ``reflectrag`` name that ``bench/*.py`` and ``scripts/*.py`` import
-resolves, so a deletion that breaks the benchmark or a script fails here
+resolves, and so does every attribute that ``bench/tracing.py`` patches, so
+a deletion or rename that breaks the benchmark or a script fails here
 instead of in a benchmark run."""
 import ast
 import importlib
@@ -43,4 +44,48 @@ def test_bench_and_script_imports_resolve():
         for where, module, name in imports
         if not resolves(module, name)
     ]
+    assert broken == []
+
+
+def traced_seams():
+    """(dotted owner, attribute) per ``tracer.patch(owner, "attribute", ...)``
+    in ``bench/tracing.py`` whose owner is a ``reflectrag`` module or class."""
+    tree = ast.parse((ROOT / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    local = {}  # local name -> dotted reflectrag path
+    loops = {}  # loop variable -> the owners of ``for name in (owner, ...)``
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+            node.module.split(".")[0] == "reflectrag"
+        ):
+            local.update((a.asname or a.name, f"{node.module}.{a.name}") for a in node.names)
+        elif isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple):
+            loops[ast.unparse(node.target)] = node.iter.elts
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "tracer.patch":
+            owner, attr = node.args[:2]
+            for expr in loops.get(ast.unparse(owner), [owner]):
+                head, _, rest = ast.unparse(expr).partition(".")
+                if head in local:
+                    yield ".".join(filter(None, (local[head], rest))), attr.value
+
+
+def resolve(dotted: str):
+    """The object at ``dotted``: its longest importable prefix, then attributes."""
+    parts = dotted.split(".")
+    for i in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            continue
+        for part in parts[i:]:
+            obj = getattr(obj, part, None)
+        return obj
+    return None
+
+
+def test_traced_seams_resolve():
+    seams = list(traced_seams())
+    assert ("reflectrag._http", "post_json") in seams
+    assert ("reflectrag.backend.RemoteBackend", "constrained_generate") in seams
+    broken = [f"{owner}.{attr}" for owner, attr in seams if not hasattr(resolve(owner), attr)]
     assert broken == []

@@ -6,9 +6,10 @@ import pytest
 from reflectrag import _http
 from reflectrag._http import RemoteServiceError, ServiceClient
 from reflectrag.engine import RemotePassageReranker, RerankerError, apply_external_reranker
-from reflectrag.index import RemoteTextEmbedder
+from reflectrag.index import EmbedderError, RemoteTextEmbedder, RetrievalMode, build_index
 from reflectrag.kb import Passage
 from reflectrag.samples import QuerySample
+from reflectrag.synth import make_synthetic_suite
 
 from stub_server import StubServer
 
@@ -45,6 +46,14 @@ def test_remote_embedder_round_trip():
         embedder = RemoteTextEmbedder(client(server))
         vec = embedder.embed("Some Title")
     assert np.allclose(vec, [0.6, 0.8])
+
+
+@pytest.mark.parametrize("vector", [["0.6", "0.8"], [True, False]], ids=["strings", "bools"])
+def test_remote_embedding_of_wrong_json_type_fails_the_index(vector):
+    suite = make_synthetic_suite(num_docs=2, num_fact_samples=1, num_noret_samples=0, seed=3)
+    with StubServer(lambda p, b: (200, {"embeddings": [vector]})) as server:
+        with pytest.raises(EmbedderError):
+            build_index(suite.kb, RetrievalMode.TEXTUAL_TITLE, RemoteTextEmbedder(client(server)))
 
 
 def test_remote_reranker_round_trip_and_validation():
