@@ -9,6 +9,10 @@ without any model weights:
     REFLECTIVA_ENDPOINT=http://127.0.0.1:8008 reflectrag eval \
         --kb data/synth/kb.jsonl --index data/synth/index.jsonl \
         --dataset data/synth/dataset.jsonl --backend remote --out out/remote
+
+The first line of output names the endpoint it bound; with ``--port 0``
+that is a free port the system chose. A request body that is not JSON or
+has the wrong shape gets HTTP 400 with a JSON ``{"error": ...}`` body.
 """
 from __future__ import annotations
 
@@ -16,20 +20,9 @@ import argparse
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from reflectrag.prompts import PromptSegment, SegmentKind
+from reflectrag.backend import serve_generate
 from reflectrag.samples import load_samples
 from reflectrag.synth import RuleBackend
-
-
-def build_backend(dataset_path: str) -> RuleBackend:
-    samples = load_samples(dataset_path)
-    answers = {s.question: s.gold_answers for s in samples if s.gold_doc_id is not None}
-    direct = {
-        s.question: s.gold_answers[0]
-        for s in samples
-        if s.gold_doc_id is None and s.gold_answers
-    }
-    return RuleBackend(answers, direct)
 
 
 def main() -> None:
@@ -39,33 +32,20 @@ def main() -> None:
     parser.add_argument("--port", type=int, default=8008)
     args = parser.parse_args()
 
-    backend = build_backend(args.dataset)
+    backend = RuleBackend.from_samples(load_samples(args.dataset))
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):  # noqa: N802 (http.server API)
             if self.path != "/v1/generate":
                 self.send_error(404)
                 return
-            length = int(self.headers.get("Content-Length", 0))
-            payload = json.loads(self.rfile.read(length))
-            prompt = [
-                PromptSegment(SegmentKind(seg["kind"]), seg["payload"])
-                for seg in payload["segments"]
-            ]
-            allowed = payload.get("allowed_tokens")
-            result = backend.constrained_generate(
-                prompt,
-                allowed=None if allowed is None else frozenset(allowed),
-                max_tokens=payload.get("max_tokens"),
-            )
-            body = json.dumps(
-                {
-                    "tokens": list(result.tokens),
-                    "chosen_logprobs": list(result.chosen_logprobs),
-                    "candidates": [dict(c) for c in result.candidate_logprobs],
-                }
-            ).encode("utf-8")
-            self.send_response(200)
+            raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            try:
+                status, reply = 200, serve_generate(backend, json.loads(raw))
+            except ValueError as exc:  # not JSON, malformed, or a prompt without a question
+                status, reply = 400, {"error": str(exc)}
+            body = json.dumps(reply).encode("utf-8")
+            self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()
@@ -75,7 +55,8 @@ def main() -> None:
             pass
 
     server = ThreadingHTTPServer((args.host, args.port), Handler)
-    print(f"serving /v1/generate on http://{args.host}:{args.port} (Ctrl-C to stop)")
+    host, port = server.server_address[:2]
+    print(f"serving /v1/generate on http://{host}:{port} (Ctrl-C to stop)", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -254,7 +254,11 @@ def _route(url: str) -> tuple[_Origin, str]:
         raise ValueError(f"unsupported URL {url!r}: expected http:// or https://")
     if any(c <= " " or c == "\x7f" for c in url):
         raise ValueError(f"unsupported URL {url!r}: contains whitespace or control characters")
-    key = (parts.scheme, parts.hostname, parts.port or (443 if parts.scheme == "https" else 80))
+    try:
+        port = parts.port  # not a number, or out of range: ValueError
+    except ValueError as exc:
+        raise ValueError(f"unsupported URL {url!r}: {exc}") from None
+    key = (parts.scheme, parts.hostname, port or (443 if parts.scheme == "https" else 80))
     with _origins_lock:
         origin = _origins.get(key)
         if origin is None:
@@ -319,6 +323,7 @@ class ServiceClient:
         backoff: float = 0.25,
     ):
         self.endpoint = endpoint.rstrip("/")
+        _route(self.endpoint)  # a malformed endpoint fails here, not at the first request
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff

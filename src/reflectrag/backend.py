@@ -12,6 +12,12 @@ Wire protocol (POST {endpoint}/v1/generate)::
               "allowed_tokens": [str] | null, "max_tokens": int | null}
     response {"tokens": [str], "chosen_logprobs": [float],
               "candidates": [{token: logprob}, ...]}
+
+Both halves live here. Client: :class:`RemoteBackend` sends a step and
+validates the response; a wrong shape or JSON type is a
+:class:`ProtocolViolationError`. Server: :func:`serve_generate` runs a
+request on any backend and returns the response body; a request of the
+wrong shape is a :class:`GenerateRequestError`, answered with HTTP 400.
 """
 from __future__ import annotations
 
@@ -432,10 +438,60 @@ class RemoteBackend:
         return result
 
 
+class GenerateRequestError(ValueError):
+    """A ``/v1/generate`` request body of the wrong shape; ``field`` names
+    the offending part, e.g. ``segments[2].kind``."""
+
+    def __init__(self, field: str, problem: str):
+        super().__init__(f"bad /v1/generate request: {field} {problem}")
+        self.field = field
+
+
+def serve_generate(backend: GenerativeBackend, request: dict) -> dict:
+    """The server half of ``/v1/generate``, the inverse of
+    :meth:`RemoteBackend.constrained_generate`: one decoded request body in,
+    one step of ``backend``, the response body out. A missing
+    ``allowed_tokens`` or ``max_tokens`` reads as null."""
+    if not isinstance(request, dict):
+        raise GenerateRequestError("request", "is not a JSON object")
+    segments = request.get("segments")
+    if not isinstance(segments, list):
+        raise GenerateRequestError("segments", "is not a list")
+    prompt = []
+    for i, seg in enumerate(segments):
+        seg = seg if isinstance(seg, dict) else {}
+        try:
+            kind = SegmentKind(seg.get("kind"))
+        except ValueError:
+            raise GenerateRequestError(
+                f"segments[{i}].kind", f"{seg.get('kind')!r} is not a segment kind"
+            ) from None
+        if type(seg.get("payload")) is not str:
+            raise GenerateRequestError(f"segments[{i}].payload", "is not a string")
+        prompt.append(PromptSegment(kind, seg["payload"]))
+    allowed = request.get("allowed_tokens")
+    if allowed is not None and not (
+        isinstance(allowed, list) and all(type(t) is str for t in allowed)
+    ):
+        raise GenerateRequestError("allowed_tokens", "is neither null nor a list of strings")
+    max_tokens = request.get("max_tokens")
+    if max_tokens is not None and type(max_tokens) is not int:
+        raise GenerateRequestError("max_tokens", "is neither null nor an integer")
+    result = backend.constrained_generate(
+        prompt, None if allowed is None else frozenset(allowed), max_tokens
+    )
+    return dict(
+        tokens=list(result.tokens),
+        chosen_logprobs=list(result.chosen_logprobs),
+        candidates=[dict(c) for c in result.candidate_logprobs],
+    )
+
+
 __all__ = [
     "BackendError",
     "CallRecord",
     "ConformanceError",
+    "GenerateRequestError",
     "GenerationResult",
     "GenerativeBackend",
     "MockBackend",
@@ -455,5 +511,6 @@ __all__ = [
     "match_passage_contains",
     "match_user_text",
     "match_user_text_contains",
+    "serve_generate",
     "validate_generation_result",
 ]

@@ -199,15 +199,7 @@ def _build_backend(
     if spec.kind == "rule":
         if samples is None:
             raise ConfigurationError("rule backend requires a dataset")
-        answers = {
-            s.question: s.gold_answers for s in samples if s.gold_doc_id is not None
-        }
-        direct = {
-            s.question: s.gold_answers[0]
-            for s in samples
-            if s.gold_doc_id is None and s.gold_answers
-        }
-        return RuleBackend(answers, direct)
+        return RuleBackend.from_samples(samples)
     raise ConfigurationError(f"unknown backend kind {spec.kind!r}")
 
 

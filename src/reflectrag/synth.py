@@ -140,8 +140,6 @@ def make_synthetic_suite(
     pick = random.Random(seed + 1)
     doc_ids = kb.doc_ids()
     samples: list[QuerySample] = []
-    answers: dict[str, tuple[str, ...]] = {}
-    direct: dict[str, str] = {}
 
     for i in range(num_fact_samples):
         doc = kb.documents[doc_ids[i % len(doc_ids)]]
@@ -170,7 +168,6 @@ def make_synthetic_suite(
             subset="unseen_q" if i % 2 == 0 else "unseen_e",
         )
         samples.append(sample)
-        answers[question] = (value,)
 
     for j in range(num_noret_samples):
         question, answer = NORET_QA[j % len(NORET_QA)]
@@ -187,10 +184,8 @@ def make_synthetic_suite(
             subset="unseen_q" if j % 2 == 0 else "unseen_e",
         )
         samples.append(sample)
-        direct[question] = answer
-    return SyntheticSuite(
-        kb=kb, samples=samples, answers_by_question=answers, direct_answers=direct
-    )
+    rule = RuleBackend.from_samples(samples)
+    return SyntheticSuite(kb, samples, rule.answers_by_question, rule.direct_answers)
 
 
 def _jitter(*parts: str, scale: float = 0.15) -> float:
@@ -225,6 +220,21 @@ class RuleBackend:
         self.answers_by_question = dict(answers_by_question)
         self.direct_answers = dict(direct_answers)
         self.control_tokens = frozenset(control_tokens)
+
+    @classmethod
+    def from_samples(cls, samples: Iterable[QuerySample]) -> RuleBackend:
+        """The tables a dataset implies: a retrieval sample's gold answers
+        are what a relevant passage holds, and a no-retrieval sample's first
+        gold answer is its direct answer."""
+        samples = list(samples)
+        return cls(
+            {s.question: s.gold_answers for s in samples if s.gold_doc_id is not None},
+            {
+                s.question: s.gold_answers[0]
+                for s in samples
+                if s.gold_doc_id is None and s.gold_answers
+            },
+        )
 
     @staticmethod
     def _question(prompt: Sequence[PromptSegment]) -> str:

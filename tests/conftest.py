@@ -1,11 +1,34 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
+ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
+#: Environment in which ``scripts/*.py`` import this checkout's package.
+SCRIPT_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])),
+}
+
+
+def script_command(name: str, *args) -> list[str]:
+    """``python scripts/<name> args...``; run it with :data:`SCRIPT_ENV`."""
+    return [sys.executable, str(ROOT / "scripts" / name), *map(str, args)]
+
+
+def make_synthetic_data(out: Path, **options) -> Path:
+    """Run ``scripts/make_synthetic_data.py --out out`` with ``options`` as
+    flags (``fact_samples=10`` is ``--fact-samples 10``); returns ``out``."""
+    flags = [x for k, v in options.items() for x in (f"--{k.replace('_', '-')}", v)]
+    subprocess.run(script_command("make_synthetic_data.py", "--out", out, *flags),
+                   env=SCRIPT_ENV, check=True, capture_output=True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -14,43 +37,15 @@ class SyntheticFiles:
     index: Path
     dataset: Path
     expectations: Path
-    out: Path
 
 
 @pytest.fixture(scope="session")
 def synthetic_files(tmp_path_factory) -> SyntheticFiles:
-    """Small synthetic corpus serialized to disk for CLI-level tests."""
-    from reflectrag.index import RetrievalMode, build_index, save_index
-    from reflectrag.kb import save_kb
-    from reflectrag.samples import save_samples
-    from reflectrag.synth import make_synthetic_suite
-
-    root = tmp_path_factory.mktemp("synthetic")
-    suite = make_synthetic_suite(
-        num_docs=18,
-        num_fact_samples=10,
-        num_noret_samples=4,
-        num_miss_samples=1,
-        seed=17,
-    )
-    kb_path = save_kb(suite.kb, root / "kb.jsonl")
-    index_path = save_index(
-        build_index(suite.kb, RetrievalMode.VISUAL), root / "index.jsonl"
-    )
-    dataset_path = save_samples(suite.samples, root / "dataset.jsonl")
-    expectations = root / "expectations.jsonl"
-    lines = []
-    for sample in suite.samples:
-        expected = "<RET>" if sample.gold_doc_id is not None else "<NORET>"
-        lines.append(json.dumps({"id": sample.id, "expected_decision": expected}))
-    expectations.write_text("\n".join(lines) + "\n")
-    return SyntheticFiles(
-        kb=kb_path,
-        index=index_path,
-        dataset=dataset_path,
-        expectations=expectations,
-        out=root / "out",
-    )
+    """Small synthetic corpus on disk for CLI-level tests."""
+    root = make_synthetic_data(tmp_path_factory.mktemp("synthetic"), docs=18,
+                               fact_samples=10, noret_samples=4, miss_samples=1, seed=17)
+    names = ("kb.jsonl", "index.jsonl", "dataset.jsonl", "expectations.jsonl")
+    return SyntheticFiles(*(root / name for name in names))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 from reflectrag.backend import (
     BackendError,
     ConformanceError,
+    GenerateRequestError,
     GenerationResult,
     MockBackend,
     ProtocolViolationError,
@@ -21,14 +22,18 @@ from reflectrag.backend import (
     load_script_file,
     match_passage_contains,
     match_user_text,
+    serve_generate,
     validate_generation_result,
 )
 from reflectrag.prompts import PromptStage, build_prompt, prompt_fingerprint
+from reflectrag.synth import RuleBackend
 from reflectrag.tokens import CONTROL_TOKENS, DECISION_TOKENS, RELEVANCE_TOKENS
 
 from stub_server import StubServer
 
 DECISION_PROMPT = build_prompt(PromptStage.DECISION, "What color is the car?", "img-1")
+QUESTION = "Who built the mill?"
+RULE = RuleBackend({QUESTION: ("Tobias Fenn",)}, {"What color is the car?": "Black"})
 
 
 def test_scripted_decision_echo():
@@ -247,23 +252,26 @@ class TestResultValidation:
 
 class TestRemoteBackend:
     def test_round_trip(self):
-        def handler(path, payload):
-            assert path == "/v1/generate"
-            assert payload["allowed_tokens"] == sorted(DECISION_TOKENS)
-            assert payload["max_tokens"] == 1
-            assert payload["segments"][0]["kind"] == "system"
-            return 200, {
-                "tokens": ["<RET>"],
-                "chosen_logprobs": [math.log(0.7)],
-                "candidates": [
-                    {"<RET>": math.log(0.7), "<NORET>": math.log(0.3)}
-                ],
-            }
-
-        with StubServer(handler) as server:
-            backend = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
-            result = backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
-        assert result.tokens == ("<RET>",)
+        """Every prompt stage, sent to a server that answers through
+        serve_generate, gives what the served backend gives directly."""
+        passage = "Tobias Fenn built it."
+        steps = [
+            (build_prompt(PromptStage.DECISION, QUESTION, "img-1"), DECISION_TOKENS, 1),
+            (build_prompt(PromptStage.JUDGMENT, QUESTION, "img-1", [passage]), RELEVANCE_TOKENS, 1),
+            (build_prompt(PromptStage.ANSWER_WITH_PASSAGES, QUESTION, "img-1", ["A mill.", passage]),
+             None, None),
+            (build_prompt(PromptStage.ANSWER_DIRECT, "What color is the car?", "img-1"), None, None),
+        ]
+        with StubServer(lambda path, payload: (200, serve_generate(RULE, payload))) as server:
+            remote = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
+            for step in steps:
+                assert remote.constrained_generate(*step) == RULE.constrained_generate(*step)
+        prompt = steps[0][0]
+        assert server.requests[0] == ("/v1/generate", {
+            "segments": [s.to_dict() for s in prompt],
+            "allowed_tokens": sorted(DECISION_TOKENS),
+            "max_tokens": 1,
+        })
 
     def test_constraint_violation_raises(self):
         def handler(path, payload):
@@ -334,18 +342,14 @@ class TestRemoteBackend:
             state["calls"] += 1
             if state["calls"] < 3:
                 return 500, {"error": "transient"}
-            return 200, {
-                "tokens": ["ok"],
-                "chosen_logprobs": [0.0],
-                "candidates": [{"ok": 0.0}],
-            }
+            return 200, serve_generate(RULE, payload)
 
         with StubServer(handler) as server:
             backend = RemoteBackend(
                 ServiceClient(server.endpoint, timeout=5, max_retries=3, backoff=0.01)
             )
             result = backend.constrained_generate(DECISION_PROMPT)
-        assert result.tokens == ("ok",)
+        assert result.tokens == ("Black",)
         assert state["calls"] == 3
 
     def test_transport_error_carries_retry_metadata(self):
@@ -357,11 +361,32 @@ class TestRemoteBackend:
         assert exc_info.value.attempts == 2
 
 
+SEGMENTS = [{"kind": "user_text", "payload": QUESTION}]
+
+
+@pytest.mark.parametrize(
+    "field, request_body",
+    [
+        ("request", [SEGMENTS]),
+        ("segments", {"segments": SEGMENTS[0]}),
+        ("segments[1].kind", {"segments": [*SEGMENTS, {"kind": "bogus", "payload": ""}]}),
+        ("segments[0].payload", {"segments": [{"kind": "user_text", "payload": 7}]}),
+        ("allowed_tokens", {"segments": SEGMENTS, "allowed_tokens": "<RET>"}),
+        ("allowed_tokens", {"segments": SEGMENTS, "allowed_tokens": ["<RET>", None]}),
+        ("max_tokens", {"segments": SEGMENTS, "max_tokens": 1.0}),
+        ("max_tokens", {"segments": SEGMENTS, "max_tokens": True}),
+    ],
+)
+def test_malformed_request_names_its_field(field, request_body):
+    with pytest.raises(GenerateRequestError) as exc_info:
+        serve_generate(RULE, request_body)
+    assert exc_info.value.field == field
+
+
 def test_huge_remote_logprob_costs_one_judgment_not_the_sample():
     from reflectrag.engine import PipelineConfig, ReflectiveEngine
     from reflectrag.index import RetrievalMode, build_index
-    from reflectrag.prompts import PromptSegment, SegmentKind
-    from reflectrag.synth import RuleBackend, make_synthetic_suite
+    from reflectrag.synth import make_synthetic_suite
 
     suite = make_synthetic_suite(num_docs=6, num_fact_samples=1, num_noret_samples=0, seed=5)
     rule = RuleBackend(suite.answers_by_question, suite.direct_answers)
@@ -373,14 +398,7 @@ def test_huge_remote_logprob_costs_one_judgment_not_the_sample():
             if len(judged) == 1:
                 return 200, {"tokens": ["<REL>"], "chosen_logprobs": [1000.0],
                              "candidates": [{"<NOREL>": 0.0, "<REL>": 1000.0}]}
-        result = rule.constrained_generate(
-            [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
-            payload["allowed_tokens"],
-            payload["max_tokens"],
-        )
-        return 200, {"tokens": list(result.tokens),
-                     "chosen_logprobs": list(result.chosen_logprobs),
-                     "candidates": [dict(c) for c in result.candidate_logprobs]}
+        return 200, serve_generate(rule, payload)
 
     with StubServer(handler) as server:
         engine = ReflectiveEngine(

@@ -1,15 +1,19 @@
 import json
+import re
+import subprocess
 import threading
 import time
 
 import pytest
 
-from reflectrag._http import TransportError
-from reflectrag.cli import _build_backend, _build_engine, build_parser, load_run_config, main
+from reflectrag._http import RemoteServiceError, ServiceClient, TransportError
+from reflectrag.backend import serve_generate
+from reflectrag.cli import _build_engine, build_parser, load_run_config, main
 from reflectrag.kb import Passage
 from reflectrag.samples import load_samples
+from reflectrag.synth import RuleBackend
 
-from conftest import doc_record, write_kb_file
+from conftest import SCRIPT_ENV, doc_record, make_synthetic_data, script_command, write_kb_file
 from stub_server import StubServer
 
 
@@ -310,6 +314,23 @@ class TestEndpointEnvOverride:
         # unreachable endpoint: every sample fails -> hard error surfaced
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "endpoint", ["http://127.0.0.1:18p06", "ftp://127.0.0.1:8008"],
+        ids=["port-not-a-number", "not-http"],
+    )
+    def test_malformed_endpoint_exits_2_before_the_first_sample(
+        self, monkeypatch, synthetic_files, tmp_path, capsys, endpoint
+    ):
+        monkeypatch.setenv("REFLECTIVA_ENDPOINT", endpoint)
+        out = tmp_path / "bad"
+        code = run(eval_args((synthetic_files.kb, synthetic_files.index, None),
+                             synthetic_files.dataset, out, "--backend", "remote"))
+        assert code == 2
+        [error] = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("error:")]
+        assert error.startswith(f"error: unsupported URL {endpoint!r}")
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, synthetic_files, tmp_path):
@@ -411,19 +432,9 @@ class TestConfigPrecedence:
 def block_corpus(tmp_path_factory):
     """KB, index and dataset with more than two 16-query search blocks of
     retrieving samples (46 fact questions, 6 NORET questions)."""
-    from reflectrag.index import RetrievalMode, build_index, save_index
-    from reflectrag.kb import save_kb
-    from reflectrag.samples import save_samples
-    from reflectrag.synth import make_synthetic_suite
-
-    root = tmp_path_factory.mktemp("blocks")
-    suite = make_synthetic_suite(
-        num_docs=40, num_fact_samples=46, num_noret_samples=6, num_miss_samples=2, seed=23
-    )
-    kb = save_kb(suite.kb, root / "kb.jsonl")
-    index = save_index(build_index(suite.kb, RetrievalMode.VISUAL), root / "index.jsonl")
-    dataset = save_samples(suite.samples, root / "dataset.jsonl")
-    return kb, index, dataset
+    root = make_synthetic_data(tmp_path_factory.mktemp("blocks"), docs=40, fact_samples=46,
+                               noret_samples=6, miss_samples=2, seed=23)
+    return root / "kb.jsonl", root / "index.jsonl", root / "dataset.jsonl"
 
 
 def eval_args(corpus, dataset, out, *extra):
@@ -480,31 +491,9 @@ class TestBatchedSearch:
         assert sum(1 for t in traces if t["hits"]) > 32
 
 
-def rule_backend_for(dataset):
-    config = load_run_config(None)
-    config.backend.kind = "rule"
-    return _build_backend(config, load_samples(dataset))
-
-
-def rule_reply(rule, payload):
-    """The /v1/generate response body of the rule backend for ``payload``."""
-    from reflectrag.prompts import PromptSegment, SegmentKind
-
-    result = rule.constrained_generate(
-        [PromptSegment(SegmentKind(s["kind"]), s["payload"]) for s in payload["segments"]],
-        payload["allowed_tokens"],
-        payload["max_tokens"],
-    )
-    return {
-        "tokens": list(result.tokens),
-        "chosen_logprobs": list(result.chosen_logprobs),
-        "candidates": [dict(c) for c in result.candidate_logprobs],
-    }
-
-
 def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
     kb, index, dataset = block_corpus
-    rule = rule_backend_for(dataset)
+    rule = RuleBackend.from_samples(load_samples(dataset))
     lock = threading.Lock()
     state = {"now": 0, "peak": 0}
 
@@ -514,7 +503,7 @@ def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
             state["peak"] = max(state["peak"], state["now"])
         try:
             time.sleep(0.002)
-            return 200, rule_reply(rule, payload)
+            return 200, serve_generate(rule, payload)
         finally:
             with lock:
                 state["now"] -= 1
@@ -528,6 +517,38 @@ def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
     assert run(eval_args(block_corpus, dataset, tmp_path / "rule", "--jobs", 3)) == 0
     for name in ("eval_report.json", "traces_full.jsonl"):
         assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def reference_server(block_corpus):
+    """The endpoint of ``scripts/run_stub_server.py --port 0`` serving the
+    rule backend of ``block_corpus``'s dataset."""
+    server = subprocess.Popen(
+        script_command("run_stub_server.py", "--dataset", block_corpus[2], "--port", 0),
+        env=SCRIPT_ENV, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        yield re.search(r"http://\S+", server.stdout.readline()).group()
+    finally:
+        server.terminate()
+        server.wait(timeout=10)
+        server.stdout.close()
+
+
+def test_reference_server_writes_the_rule_backend_bytes(block_corpus, reference_server, tmp_path):
+    dataset = block_corpus[2]
+    assert run(eval_args(block_corpus, dataset, tmp_path / "remote", "--jobs", 4,
+                         "--backend", "remote", "--endpoint", reference_server)) == 0
+    assert run(eval_args(block_corpus, dataset, tmp_path / "rule", "--jobs", 4)) == 0
+    for name in ("eval_report.json", "traces_full.jsonl"):
+        assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+
+def test_reference_server_refuses_a_malformed_request_with_400(reference_server):
+    client = ServiceClient(reference_server, timeout=5, max_retries=3)
+    with pytest.raises(RemoteServiceError, match=r"segments\[0\]\.kind") as exc_info:
+        client.post("/v1/generate", {"segments": [{"kind": "bogus", "payload": ""}]})
+    assert exc_info.value.status == 400
 
 
 class TestPartialFailure:
@@ -568,8 +589,6 @@ class TestOnePassEval:
     def test_five_variants_jobs_identical_and_every_step_distinct(
         self, synthetic_files, tmp_path, monkeypatch
     ):
-        from reflectrag.synth import RuleBackend
-
         steps = []
         original = RuleBackend.constrained_generate
 
@@ -597,8 +616,8 @@ class TestOnePassEval:
     def test_remote_backend_is_never_memoized(self, synthetic_files, tmp_path):
         files = synthetic_files
         corpus = (files.kb, files.index, None)
-        rule = rule_backend_for(files.dataset)
-        with StubServer(lambda path, payload: (200, rule_reply(rule, payload)),
+        rule = RuleBackend.from_samples(load_samples(files.dataset))
+        with StubServer(lambda path, payload: (200, serve_generate(rule, payload)),
                         keep_alive=True) as server:
             code = run(eval_args(corpus, files.dataset, tmp_path / "remote", "--jobs", 4,
                                  "--variants", "full,always_ret", "--backend", "remote",
