@@ -12,7 +12,8 @@ without any model weights:
 
 The first line of output names the endpoint it bound; with ``--port 0``
 that is a free port the system chose. A request body that is not JSON or
-has the wrong shape gets HTTP 400 with a JSON ``{"error": ...}`` body.
+has the wrong shape gets HTTP 400, and a well-formed step that the backend
+cannot produce gets HTTP 422; both carry a JSON ``{"error": ...}`` body.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import argparse
 import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from reflectrag.backend import serve_generate
+from reflectrag.backend import BackendError, serve_generate
 from reflectrag.samples import load_samples
 from reflectrag.synth import RuleBackend
 
@@ -44,6 +45,8 @@ def main() -> None:
                 status, reply = 200, serve_generate(backend, json.loads(raw))
             except ValueError as exc:  # not JSON, malformed, or a prompt without a question
                 status, reply = 400, {"error": str(exc)}
+            except BackendError as exc:  # a well-formed step the backend cannot produce
+                status, reply = 422, {"error": str(exc)}
             body = json.dumps(reply).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")

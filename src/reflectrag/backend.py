@@ -17,7 +17,11 @@ Both halves live here. Client: :class:`RemoteBackend` sends a step and
 validates the response; a wrong shape or JSON type is a
 :class:`ProtocolViolationError`. Server: :func:`serve_generate` runs a
 request on any backend and returns the response body; a request of the
-wrong shape is a :class:`GenerateRequestError`, answered with HTTP 400.
+wrong shape is a :class:`GenerateRequestError`, answered with HTTP 400. A
+well-formed step that the server's backend cannot produce (it raised a
+:class:`BackendError`) is answered with HTTP 422 and ``{"error": str}``;
+the client raises it as a :class:`BackendError`, so it costs one judgment,
+not the sample. Any other 4xx is a :class:`RemoteServiceError`.
 """
 from __future__ import annotations
 
@@ -421,6 +425,10 @@ class RemoteBackend:
             body = self.client.post("/v1/generate", payload)
         except MalformedResponseError as exc:
             raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
+        except RemoteServiceError as exc:
+            if exc.status != 422:
+                raise
+            raise BackendError(f"server could not produce the step: {exc}") from exc
         try:
             result = GenerationResult(
                 tokens=tuple(_json_typed(t, str) for t in body["tokens"]),

@@ -25,7 +25,7 @@ from ._http import ServiceClient
 from .backend import BackendError, GenerativeBackend, ProtocolViolationError
 from .index import DenseIndex, RetrievalHit, candidate_passages, search, search_batch
 from .kb import KnowledgeBase, Passage, passages_of
-from .prompts import PromptStage, build_prompt as build_prompt_segments
+from .prompts import PromptSegment, PromptStage, build_prompt as build_prompt_segments
 from .samples import QuerySample
 from .similarity import TextSimilarityScorer
 from .tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
@@ -230,57 +230,66 @@ class RemotePassageReranker:
 # --------------------------------------------------------------------------
 
 
-def _relevance_logps(candidates: dict[str, float]) -> tuple[float, float]:
+def _reflect(
+    backend: GenerativeBackend, prompt: Sequence[PromptSegment], stage: str,
+    allowed: frozenset[str], yes: ReflectiveToken, no: ReflectiveToken,
+) -> tuple[ReflectiveToken, float, float]:
+    """One constrained step over {yes, no}: (token, logp(yes), logp(no)).
+    The token is ``yes`` iff logp(yes) > logp(no), so a tie goes to ``no``."""
+    result = backend.constrained_generate(prompt, allowed=allowed, max_tokens=1)
+    cands = result.candidate_logprobs[0]
     try:
-        return (
-            candidates[ReflectiveToken.REL.value],
-            candidates[ReflectiveToken.NOREL.value],
-        )
+        logp_yes, logp_no = cands[yes.value], cands[no.value]
     except KeyError as exc:
         raise ProtocolViolationError(
-            f"relevance step must report logprobs for both relevance tokens: {exc}"
+            f"{stage} step must report logprobs for both {stage} tokens: {exc}"
         ) from exc
+    return (yes if logp_yes > logp_no else no), logp_yes, logp_no
 
 
 def decide_retrieval(backend: GenerativeBackend, sample: QuerySample) -> RetrievalDecision:
     """One constrained step over {<RET>, <NORET>}; both logprobs recorded.
-
-    A tie resolves to NORET, matching the conservative tie rule used for
-    relevance judgments.
-    """
+    A tie resolves to NORET."""
     prompt = build_prompt_segments(PromptStage.DECISION, sample.question, sample.image_ref)
-    result = backend.constrained_generate(prompt, allowed=DECISION_TOKENS, max_tokens=1)
-    cands = dict(result.candidate_logprobs[0])
-    try:
-        logp_ret = cands[ReflectiveToken.RET.value]
-        logp_noret = cands[ReflectiveToken.NORET.value]
-    except KeyError as exc:
-        raise ProtocolViolationError(
-            f"decision step must report logprobs for both decision tokens: {exc}"
-        ) from exc
-    token = ReflectiveToken.RET if logp_ret > logp_noret else ReflectiveToken.NORET
+    token, logp_ret, logp_noret = _reflect(
+        backend, prompt, "decision", DECISION_TOKENS,
+        ReflectiveToken.RET, ReflectiveToken.NORET,
+    )
     return RetrievalDecision(token=token, logp_ret=logp_ret, logp_noret=logp_noret)
 
 
 def judge_passage(
     backend: GenerativeBackend, sample: QuerySample, passage: Passage
 ) -> RelevanceJudgment:
-    """One constrained step over {<REL>, <NOREL>} for a single passage.
-
-    The judgment token follows the score sign: REL iff
-    logp(REL) - logp(NOREL) > 0, ties to NOREL.
-    """
+    """One constrained step over {<REL>, <NOREL>} for a single passage:
+    REL iff the score logp(REL) - logp(NOREL) > 0, ties to NOREL."""
     prompt = build_prompt_segments(
         PromptStage.JUDGMENT, sample.question, sample.image_ref, [passage.text]
     )
-    result = backend.constrained_generate(prompt, allowed=RELEVANCE_TOKENS, max_tokens=1)
-    logp_rel, logp_norel = _relevance_logps(dict(result.candidate_logprobs[0]))
-    token = (
-        ReflectiveToken.REL if logp_rel - logp_norel > 0 else ReflectiveToken.NOREL
+    token, logp_rel, logp_norel = _reflect(
+        backend, prompt, "relevance", RELEVANCE_TOKENS,
+        ReflectiveToken.REL, ReflectiveToken.NOREL,
     )
     return RelevanceJudgment(
         passage=passage, token=token, logp_rel=logp_rel, logp_norel=logp_norel
     )
+
+
+def judge_passages(
+    backend: GenerativeBackend, sample: QuerySample, passages: Sequence[Passage]
+) -> tuple[list[RelevanceJudgment], int]:
+    """Judge each passage in order; returns (judgments, failures). A passage
+    whose judgment raises :class:`BackendError` is logged, left out and
+    counted. The engine's selection and stage-2 mining both judge here."""
+    judgments: list[RelevanceJudgment] = []
+    failures = 0
+    for passage in passages:
+        try:
+            judgments.append(judge_passage(backend, sample, passage))
+        except BackendError as exc:
+            failures += 1
+            logger.warning("judgment failed for %s (%s); passage skipped", passage.key, exc)
+    return judgments, failures
 
 
 def rank_by_relevance(
@@ -295,10 +304,7 @@ def rank_by_relevance(
         raise ValueError("judgments must be non-empty")
     if top_passages < 1:
         raise ValueError("top_passages must be >= 1")
-    ranked = sorted(
-        enumerate(judgments), key=lambda pair: (-pair[1].score, pair[0])
-    )
-    return [j.passage for _, j in ranked[:top_passages]]
+    return [j.passage for j in sorted(judgments, key=lambda j: -j.score)[:top_passages]]
 
 
 def apply_external_reranker(
@@ -325,10 +331,7 @@ def _cap_relevant(
 ) -> list[Passage]:
     # Keep the highest-score passages but preserve candidate order among them.
     scores = {j.passage.key: j.score for j in judgments}
-    ranked = sorted(
-        enumerate(selected), key=lambda pair: (-scores[pair[1].key], pair[0])
-    )
-    keep = {pair[1].key for pair in ranked[:cap]}
+    keep = {p.key for p in sorted(selected, key=lambda p: -scores[p.key])[:cap]}
     return [p for p in selected if p.key in keep]
 
 
@@ -456,14 +459,10 @@ class ReflectiveEngine:
                 raise ConfigurationError(
                     "external-scorer selection requires a similarity scorer"
                 )
-            scored = sorted(
-                enumerate(candidates),
-                key=lambda pair: (
-                    -self.similarity_scorer.score(sample.question, pair[1].text),
-                    pair[0],
-                ),
-            )
-            selected = [p for _, p in scored[: config.external_scorer_top]]
+            selected = sorted(
+                candidates,
+                key=lambda p: -self.similarity_scorer.score(sample.question, p.text),
+            )[: config.external_scorer_top]
             return [], selected, False, 0
 
         if config.selection is SelectionMode.RANDOM_PER_DOC:
@@ -477,18 +476,7 @@ class ReflectiveEngine:
                 selected.extend(sorted(chosen, key=lambda p: p.section_index))
             return [], selected, False, 0
 
-        judgments: list[RelevanceJudgment] = []
-        failures = 0
-        for passage in candidates:
-            try:
-                judgments.append(judge_passage(self.backend, sample, passage))
-            except BackendError as exc:
-                failures += 1
-                logger.warning(
-                    "judgment failed for %s (%s); passage skipped",
-                    passage.key,
-                    exc,
-                )
+        judgments, failures = judge_passages(self.backend, sample, candidates)
         if not judgments:
             raise PipelineError(
                 f"sample {sample.id!r}: every candidate judgment failed"
@@ -505,10 +493,7 @@ class ReflectiveEngine:
         if not selected:
             # Answering with zero context would silently degrade; use the
             # least-bad passage and flag the trace.
-            best = min(
-                enumerate(judgments), key=lambda pair: (-pair[1].score, pair[0])
-            )[1]
-            selected = [best.passage]
+            selected = [max(judgments, key=lambda j: j.score).passage]
             fallback = True
         return judgments, selected, fallback, failures
 
@@ -538,51 +523,32 @@ class ReflectiveEngine:
             token=effective, logp_ret=decision.logp_ret, logp_noret=decision.logp_noret
         )
 
-        if effective is ReflectiveToken.NORET:
+        # A NORET run answers directly, with no passages in its trace.
+        hits, candidates, judgments, selected = (), (), (), None
+        fallback, failures = False, 0
+        if effective is ReflectiveToken.RET:
             t0 = time.perf_counter()
-            answer = _answer(self.backend, sample, None)
-            timings["answer"] = time.perf_counter() - t0
-            timings["total"] = time.perf_counter() - started
-            return PipelineTrace(
-                sample_id=sample.id,
-                decision=acted,
-                forced=forced,
-                hits=(),
-                candidates=(),
-                judgments=(),
-                selected=(),
-                answer=answer,
-                fallback=False,
-                judge_failures=0,
-                timings=timings,
-                config=config.to_dict(),
-            )
+            if oracle_doc_id is not None:
+                candidates = passages_of(self.kb, oracle_doc_id)
+            else:
+                hits, candidates = self._retrieve(sample, config)
+            if config.rerank is not None and config.rerank.strategy is RerankStrategy.EXTERNAL:
+                if self.reranker is None:
+                    raise ConfigurationError("external re-ranking requires a reranker")
+                candidates = apply_external_reranker(self.reranker, sample, candidates)[
+                    : config.rerank.top_passages
+                ]
+            timings["retrieve"] = time.perf_counter() - t0
+            if not candidates:
+                raise PipelineError(
+                    f"sample {sample.id!r}: retrieval produced no candidate passages"
+                )
 
-        t0 = time.perf_counter()
-        if oracle_doc_id is not None:
-            if self.kb is None:
-                raise ConfigurationError("oracle mode requires a knowledge base")
-            hits: list[RetrievalHit] = []
-            candidates = passages_of(self.kb, oracle_doc_id)
-        else:
-            hits, candidates = self._retrieve(sample, config)
-        if config.rerank is not None and config.rerank.strategy is RerankStrategy.EXTERNAL:
-            if self.reranker is None:
-                raise ConfigurationError("external re-ranking requires a reranker")
-            candidates = apply_external_reranker(self.reranker, sample, candidates)[
-                : config.rerank.top_passages
-            ]
-        timings["retrieve"] = time.perf_counter() - t0
-        if not candidates:
-            raise PipelineError(
-                f"sample {sample.id!r}: retrieval produced no candidate passages"
+            t0 = time.perf_counter()
+            judgments, selected, fallback, failures = self._select(
+                sample, config, candidates
             )
-
-        t0 = time.perf_counter()
-        judgments, selected, fallback, failures = self._select(
-            sample, config, candidates
-        )
-        timings["judge"] = time.perf_counter() - t0
+            timings["judge"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
         answer = _answer(self.backend, sample, selected)
@@ -596,7 +562,7 @@ class ReflectiveEngine:
             hits=tuple(hits),
             candidates=tuple(candidates),
             judgments=tuple(judgments),
-            selected=tuple(selected),
+            selected=tuple(selected or ()),
             answer=answer,
             fallback=fallback,
             judge_failures=failures,

@@ -25,7 +25,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol, Sequence
 
-from .engine import judge_passage
+from .engine import judge_passages
 from .backend import GenerativeBackend
 from .index import DenseIndex, search
 from .kb import KnowledgeBase, Passage, passages_of
@@ -184,11 +184,8 @@ def shortlist_by_similarity(
     section order."""
     if not passages:
         raise ValueError("passages must be non-empty")
-    scored = sorted(
-        enumerate(passages),
-        key=lambda pair: (-scorer.score(question, pair[1].text), pair[0]),
-    )
-    return [(p, scorer.score(question, p.text)) for _, p in scored[:2]]
+    scored = [(p, scorer.score(question, p.text)) for p in passages]
+    return sorted(scored, key=lambda ps: -ps[1])[:2]
 
 
 def annotate_in_article(
@@ -223,11 +220,10 @@ def annotate_in_article(
         labels[idx] = PassageLabel.POSITIVE
         provenance[idx] = Provenance.SIMILARITY_FORCED
     if PassageLabel.NEGATIVE not in labels:
-        by_similarity = sorted(
-            enumerate(passages),
-            key=lambda pair: (scorer.score(sample.question, pair[1].text), pair[0]),
+        idx = min(
+            range(len(passages)),
+            key=lambda i: scorer.score(sample.question, passages[i].text),
         )
-        idx = by_similarity[0][0]
         labels[idx] = PassageLabel.NEGATIVE
         provenance[idx] = Provenance.SIMILARITY_FORCED
     return [
@@ -273,8 +269,9 @@ def mine_stage2_triplet(
 ) -> Stage2Triplet:
     """Mine (positive, hard negative, soft negative) for one sample.
 
-    Every gold-page passage is judged by the stage-1 model; the positive is
-    the max-logp(REL) passage, the hard negative a seeded-random pick among
+    Every gold-page passage is judged by the stage-1 model, and a failed
+    judgment skips the sample; the positive is the max-logp(REL) passage
+    (the earliest on a tie), the hard negative a seeded-random pick among
     NOREL-judged ones (min-logp(REL) if the page had none), and the soft
     negative a seeded-random passage from the best-matching non-gold
     document.
@@ -289,8 +286,10 @@ def mine_stage2_triplet(
         )
     rng = random.Random(f"{seed}:{sample.id}:stage2")
 
-    judgments = [judge_passage(in_article_backend, sample, p) for p in gold_passages]
-    positive = max(enumerate(judgments), key=lambda pair: (pair[1].logp_rel, -pair[0]))[1].passage
+    judgments, failures = judge_passages(in_article_backend, sample, gold_passages)
+    if failures:
+        raise SampleSkipped(f"sample {sample.id!r}: {failures} gold-page judgment(s) failed")
+    positive = max(judgments, key=lambda j: j.logp_rel).passage
     norel_pool = [
         j.passage
         for j in judgments
@@ -300,9 +299,7 @@ def mine_stage2_triplet(
         hard_negative = rng.choice(norel_pool)
     else:
         remaining = [j for j in judgments if j.passage.key != positive.key]
-        hard_negative = min(
-            enumerate(remaining), key=lambda pair: (pair[1].logp_rel, pair[0])
-        )[1].passage
+        hard_negative = min(remaining, key=lambda j: j.logp_rel).passage
 
     if sample.image_embedding is None:
         raise SampleSkipped(f"sample {sample.id!r}: no image embedding for retrieval")
@@ -349,30 +346,14 @@ def emit_stage2_sequences(
         SequenceKind.NORET: [],
     }
     for sample, triplet in triplets:
-        by_kind[SequenceKind.POS_REL].append(
-            _sequence(
-                SequenceKind.POS_REL,
-                sample,
-                (ReflectiveToken.RET, ReflectiveToken.REL),
-                triplet.positive,
+        for kind, token, passage in (
+            (SequenceKind.POS_REL, ReflectiveToken.REL, triplet.positive),
+            (SequenceKind.HARD_NOREL, ReflectiveToken.NOREL, triplet.hard_negative),
+            (SequenceKind.SOFT_NOREL, ReflectiveToken.NOREL, triplet.soft_negative),
+        ):
+            by_kind[kind].append(
+                _sequence(kind, sample, (ReflectiveToken.RET, token), passage)
             )
-        )
-        by_kind[SequenceKind.HARD_NOREL].append(
-            _sequence(
-                SequenceKind.HARD_NOREL,
-                sample,
-                (ReflectiveToken.RET, ReflectiveToken.NOREL),
-                triplet.hard_negative,
-            )
-        )
-        by_kind[SequenceKind.SOFT_NOREL].append(
-            _sequence(
-                SequenceKind.SOFT_NOREL,
-                sample,
-                (ReflectiveToken.RET, ReflectiveToken.NOREL),
-                triplet.soft_negative,
-            )
-        )
     for sample in noret_samples:
         by_kind[SequenceKind.NORET].append(
             _sequence(SequenceKind.NORET, sample, (ReflectiveToken.NORET,), None)

@@ -19,7 +19,6 @@ one row per document in file order.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import logging
 import math
@@ -194,7 +193,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     path = Path(path)
     raw = path.read_bytes()
     checksum = hashlib.sha256(raw).hexdigest()
-    lines = io.StringIO(raw.decode("utf-8")).read().splitlines()
+    lines = raw.decode("utf-8").splitlines()
     if not lines:
         raise KBLoadError("empty file", 1)
 

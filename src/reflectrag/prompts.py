@@ -2,8 +2,7 @@
 
 Prompts are sequences of typed segments, not rendered strings: the generative
 backend owns tokenization and chat formatting, while this module owns the
-canonical segment order, which is bit-exact and golden-tested. A display
-renderer approximating the LLaMA-3.1 chat layout is provided for debugging.
+canonical segment order, which is bit-exact and golden-tested.
 """
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .tokens import PARAGRAPH_CLOSE, PARAGRAPH_OPEN, ReflectiveToken
+from .tokens import ReflectiveToken
 
 SYSTEM_MESSAGE = (
     "You are a helpful language and vision assistant. You are able to "
@@ -117,34 +116,3 @@ def prompt_fingerprint(segments: Sequence[PromptSegment]) -> str:
     )
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-
-def render_prompt(segments: Sequence[PromptSegment]) -> str:
-    """Debug rendering in the LLaMA-3.1 chat layout. Display only."""
-    turns: list[tuple[str, list[str]]] = []
-    for seg in segments:
-        if seg.kind is SegmentKind.SYSTEM:
-            turns.append(("system", [seg.payload]))
-        elif seg.kind is SegmentKind.ASSISTANT_START:
-            turns.append(("assistant", []))
-        elif seg.kind is SegmentKind.CONTROL_TOKEN:
-            if not turns or turns[-1][0] != "assistant":
-                turns.append(("assistant", []))
-            turns[-1][1].append(seg.payload)
-        else:
-            part = seg.payload
-            if seg.kind is SegmentKind.IMAGE_REF:
-                part = "<image>"
-            elif seg.kind is SegmentKind.PASSAGE_BLOCK:
-                part = f"{PARAGRAPH_OPEN}{seg.payload}{PARAGRAPH_CLOSE}"
-            if turns and turns[-1][0] == "user":
-                turns[-1][1].append(part)
-            else:
-                turns.append(("user", [part]))
-    out = ["<|begin_of_text|>"]
-    for i, (role, parts) in enumerate(turns):
-        out.append(f"<|start_header_id|>{role}<|end_header_id|>\n")
-        out.append("\n".join(parts))
-        open_assistant = i == len(turns) - 1 and role == "assistant" and not parts
-        if not open_assistant:
-            out.append("<|eot_id|>")
-    return "".join(out)

@@ -7,9 +7,10 @@ import time
 import pytest
 
 from reflectrag._http import RemoteServiceError, ServiceClient, TransportError
-from reflectrag.backend import serve_generate
+from reflectrag.backend import BackendError, RemoteBackend, serve_generate
 from reflectrag.cli import _build_engine, build_parser, load_run_config, main
 from reflectrag.kb import Passage
+from reflectrag.prompts import PromptSegment, SegmentKind
 from reflectrag.samples import load_samples
 from reflectrag.synth import RuleBackend
 
@@ -520,13 +521,20 @@ def test_jobs_bound_remote_requests_in_flight(block_corpus, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def reference_server(block_corpus):
+def reference_server_stderr(tmp_path_factory):
+    return tmp_path_factory.mktemp("reference_server") / "stderr.txt"
+
+
+@pytest.fixture(scope="module")
+def reference_server(block_corpus, reference_server_stderr):
     """The endpoint of ``scripts/run_stub_server.py --port 0`` serving the
-    rule backend of ``block_corpus``'s dataset."""
-    server = subprocess.Popen(
-        script_command("run_stub_server.py", "--dataset", block_corpus[2], "--port", 0),
-        env=SCRIPT_ENV, stdout=subprocess.PIPE, text=True,
-    )
+    rule backend of ``block_corpus``'s dataset; its stderr goes to
+    ``reference_server_stderr``."""
+    with open(reference_server_stderr, "w") as stderr:
+        server = subprocess.Popen(
+            script_command("run_stub_server.py", "--dataset", block_corpus[2], "--port", 0),
+            env=SCRIPT_ENV, stdout=subprocess.PIPE, stderr=stderr, text=True,
+        )
     try:
         yield re.search(r"http://\S+", server.stdout.readline()).group()
     finally:
@@ -549,6 +557,18 @@ def test_reference_server_refuses_a_malformed_request_with_400(reference_server)
     with pytest.raises(RemoteServiceError, match=r"segments\[0\]\.kind") as exc_info:
         client.post("/v1/generate", {"segments": [{"kind": "bogus", "payload": ""}]})
     assert exc_info.value.status == 400
+
+
+def test_reference_server_answers_a_backend_error_with_422(reference_server, reference_server_stderr):
+    # Well-formed, but the rule backend cannot emit anything from {"x"}.
+    client = ServiceClient(reference_server, timeout=5, max_retries=3)
+    remote = RemoteBackend(client)
+    prompt = [PromptSegment(SegmentKind.USER_TEXT, "Q?")]
+    with pytest.raises(BackendError, match="HTTP 422") as exc_info:
+        remote.constrained_generate(prompt, allowed=["x"])
+    assert not isinstance(exc_info.value, RemoteServiceError)
+    assert exc_info.value.__cause__.status == 422
+    assert "Traceback" not in reference_server_stderr.read_text()
 
 
 class TestPartialFailure:

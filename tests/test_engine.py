@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protocol_suite as suite
-from reflectrag.backend import MockBackend, ScriptedResponse, match_user_text
+from reflectrag.backend import MockBackend, ProtocolViolationError, ScriptedResponse, match_user_text
 from reflectrag.engine import (
     ConfigurationError,
     ForcedDecision,
@@ -100,6 +101,35 @@ class TestJudgment:
         judgment = judge_passage(backend, make_sample(), Passage("d", 0, "text"))
         assert judgment.token is ReflectiveToken.NOREL
         assert judgment.score == 0.0
+
+
+@pytest.mark.parametrize("stage", ["decision", "relevance"])
+def test_step_missing_a_logprob_fails_at_its_scope(stage, caplog):
+    # The one-sided step's candidate map holds only the chosen token.
+    q = "Describe the oak gallery. (one-sided)"
+    scripts = [
+        suite._decision(q, 0.9, "<RET>"),
+        suite._judgment(q, "Birch Hall section zero", 0.8),
+        suite._judgment(q, "Birch Hall section one", 0.8),
+        suite._answer(q, "carved oak"),
+    ]
+    one_sided = 0 if stage == "decision" else 1
+    scripts[one_sided] = dataclasses.replace(scripts[one_sided], candidates=None)
+    scenario = suite.Scenario(
+        name="one-sided", question=q, docs=[("kbdoc-b", 1.0)],
+        config=PipelineConfig(top_k_docs=1), scripts=scripts,
+    )
+    kb = suite.build_kb()
+    index = build_index(kb, RetrievalMode.VISUAL)
+    message = f"{stage} step must report logprobs for both {stage} tokens"
+    if stage == "decision":  # the decision is the sample's: the sample fails
+        with pytest.raises(ProtocolViolationError, match=message):
+            suite.run_scenario(kb, index, scenario, "one-sided")
+        return
+    trace, _ = suite.run_scenario(kb, index, scenario, "one-sided")  # one judgment lost
+    assert trace.judge_failures == 1
+    assert [j.passage.key for j in trace.judgments] == [("kbdoc-b", 1)]
+    assert message in caplog.text
 
 
 def judgment(doc, idx, score, base=-1.0):

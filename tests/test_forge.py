@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from reflectrag.backend import MockBackend, ScriptedResponse, match_all, match_passage_contains, match_user_text
+from reflectrag.backend import MockBackend, ProtocolViolationError, ScriptedResponse, match_all, match_passage_contains, match_user_text
 from reflectrag.forge import (
     DataForgeError,
     HeuristicAnnotator,
@@ -398,3 +398,33 @@ class TestDrivers:
         serial = build_stage2_dataset(fact, noret, suite.kb, index, backend, seed=9, jobs=1)
         parallel = build_stage2_dataset(fact, noret, suite.kb, index, backend, seed=9, jobs=4)
         assert serial.sequences == parallel.sequences
+
+    def test_stage2_failed_judgment_skips_only_its_sample(self):
+        suite = make_synthetic_suite(
+            num_docs=12, num_fact_samples=8, num_noret_samples=3, seed=6
+        )
+        index = build_index(suite.kb, RetrievalMode.VISUAL)
+        rule = RuleBackend(suite.answers_by_question, suite.direct_answers)
+        fact = [s for s in suite.samples if s.gold_doc_id is not None]
+        noret = [s for s in suite.samples if s.gold_doc_id is None]
+        clean = build_stage2_dataset(fact, noret, suite.kb, index, rule, seed=9, jobs=2)
+        victim = next(s for s in sorted(fact, key=lambda s: s.id)
+                      if s.id not in dict(clean.skipped))
+
+        class FailsOneSample:
+            control_tokens = rule.control_tokens
+
+            def constrained_generate(self, prompt, allowed=None, max_tokens=None):
+                if allowed == RELEVANCE_TOKENS and any(
+                    seg.payload == victim.question for seg in prompt
+                ):
+                    raise ProtocolViolationError("garbled judgment")
+                return rule.constrained_generate(prompt, allowed, max_tokens)
+
+        result = build_stage2_dataset(
+            fact, noret, suite.kb, index, FailsOneSample(), seed=9, jobs=2
+        )
+        assert result.accounting["skipped"] == clean.accounting["skipped"] + 1
+        n_gold = len(passages_of(suite.kb, victim.gold_doc_id))
+        reason = f"sample {victim.id!r}: {n_gold} gold-page judgment(s) failed"
+        assert result.skipped == sorted([*clean.skipped, (victim.id, reason)])

@@ -11,7 +11,6 @@ from reflectrag.prompts import (
     SegmentKind,
     build_prompt,
     prompt_fingerprint,
-    render_prompt,
     segments_to_dicts,
 )
 
@@ -84,11 +83,3 @@ def test_fingerprint_is_stable_and_content_sensitive():
     assert prompt_fingerprint(a) == prompt_fingerprint(b)
     assert prompt_fingerprint(a) != prompt_fingerprint(c)
 
-
-def test_render_wraps_passages_in_paragraph_markers():
-    segments = build_prompt(PromptStage.JUDGMENT, "Q?", "img", ["the body"])
-    rendered = render_prompt(segments)
-    assert "<paragraph>the body</paragraph>" in rendered
-    assert rendered.startswith("<|begin_of_text|>")
-    assert rendered.count("<|start_header_id|>user<|end_header_id|>") == 2
-    assert rendered.rstrip().endswith("<|start_header_id|>assistant<|end_header_id|>")
