@@ -11,14 +11,17 @@ without any model weights:
         --dataset data/synth/dataset.jsonl --backend remote --out out/remote
 
 The first line of output names the endpoint it bound; with ``--port 0``
-that is a free port the system chose. A request body that is not JSON or
-has the wrong shape gets HTTP 400, and a well-formed step that the backend
-cannot produce gets HTTP 422; both carry a JSON ``{"error": ...}`` body.
+that is a free port the system chose. It speaks HTTP/1.1 with keep-alive
+and answers the requests of one connection in order, so clients may
+pipeline them. A request body that is not JSON or has the wrong shape gets
+HTTP 400, and a well-formed step that the backend cannot produce gets HTTP
+422; both carry a JSON ``{"error": ...}`` body.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import socket
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from reflectrag.backend import BackendError, serve_generate
@@ -36,11 +39,21 @@ def main() -> None:
     backend = RuleBackend.from_samples(load_samples(args.dataset))
 
     class Handler(BaseHTTPRequestHandler):
+        # Keep-alive, so a client reuses its connection and may pipeline;
+        # requests on one connection are answered in the order they arrived.
+        protocol_version = "HTTP/1.1"
+
+        def setup(self):
+            super().setup()
+            # Headers and body go out in separate writes; without this a
+            # keep-alive client waits out a delayed ACK on every response.
+            self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
         def do_POST(self):  # noqa: N802 (http.server API)
+            raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
             if self.path != "/v1/generate":
                 self.send_error(404)
                 return
-            raw = self.rfile.read(int(self.headers.get("Content-Length", 0)))
             try:
                 status, reply = 200, serve_generate(backend, json.loads(raw))
             except ValueError as exc:  # not JSON, malformed, or a prompt without a question

@@ -11,8 +11,9 @@ has concurrent requests, not one per request. Proxy settings
 once per (scheme, host, port).
 
 ``http.client`` only opens connections (TLS, ``CONNECT`` tunnelling,
-``TCP_NODELAY``). Each request is one write of a head built once per origin,
-its ``Content-Length`` and the body. The response reader accepts HTTP/1.0
+``TCP_NODELAY``). A request is a head built once per origin, its
+``Content-Length`` and the body, and it goes out in one write together with
+the requests pipelined after it. The response reader accepts HTTP/1.0
 and HTTP/1.1, skips interim 1xx responses, and reads a body framed by
 ``Content-Length``, ``chunked`` encoding, or the server closing the
 connection. A connection goes back to the pool unless the response closes
@@ -27,6 +28,13 @@ responses above, 5xx) with exponential backoff; other non-2xx responses,
 redirects included, fail immediately. A pooled connection that the server
 closed while it sat idle is replaced at once, without counting as an
 attempt.
+
+:meth:`ServiceClient.post_all` pipelines independent requests (RFC 9112
+§9.3.2): it writes up to :data:`MAX_PIPELINE` of them on one connection
+before reading their replies, so a server must answer the requests of a
+connection in the order they arrived, as every HTTP/1.1 server does. A
+server that closes the connection after a reply, HTTP/1.0 servers
+included, gets the unanswered rest again one request at a time.
 """
 from __future__ import annotations
 
@@ -41,7 +49,7 @@ import ssl
 import threading
 import time
 import urllib.request
-from typing import BinaryIO
+from typing import BinaryIO, Sequence
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
@@ -49,6 +57,9 @@ logger = logging.getLogger(__name__)
 # Idle connections kept per origin. More concurrent callers still work; the
 # surplus connections are closed when they are returned.
 MAX_IDLE_PER_ORIGIN = 16
+# Pipelined requests written before their replies are read, so the client
+# never blocks on a write while the server blocks on replies nobody reads.
+MAX_PIPELINE = 32
 # Longest status, header or chunk-size line, and most headers, in a response.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -154,28 +165,64 @@ class _Origin:
 
     def post(self, target: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """One request/response exchange; returns (status, response body)."""
-        request = b"POST %s%s%d\r\n\r\n%s" % (target.encode("ascii"), self._head, len(body), body)
-        sock, rfile, reused = self._borrow(timeout)
+        (reply,) = self.post_all(target, [body], timeout)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    def post_all(
+        self, target: str, bodies: Sequence[bytes], timeout: float
+    ) -> list[tuple[int, bytes] | Exception]:
+        """Pipelined exchanges on one connection; returns (status, response
+        body) per request, in order. A reply that closes the connection, or a
+        broken one, ends the exchange: each request from there on gets the
+        exception that left it unanswered."""
+        prefix = target.encode("ascii")
+        requests = [b"POST %s%s%d\r\n\r\n%s" % (prefix, self._head, len(b), b) for b in bodies]
+        replies: list[tuple[int, bytes] | Exception] = []
+        try:
+            sock, rfile, reused = self._borrow(timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            return [exc] * len(requests)
         try:
             try:
-                sock.sendall(request)
-                status, data, keep_alive = _read_response(rfile)
+                keep_alive = _pipeline(sock, rfile, requests, replies)
             except ConnectionError:
-                if not reused:
+                if not reused or replies:
                     raise
                 # The server closed this connection while it was idle.
                 _close(sock, rfile)
                 sock, rfile = self._connect(timeout)
-                sock.sendall(request)
-                status, data, keep_alive = _read_response(rfile)
+                keep_alive = _pipeline(sock, rfile, requests, replies)
+        except (OSError, http.client.HTTPException) as exc:
+            _close(sock, rfile)
+            return replies + [exc] * (len(requests) - len(replies))
         except BaseException:
             _close(sock, rfile)
             raise
         if keep_alive:
             self._release(sock, rfile)
-        else:
-            _close(sock, rfile)
-        return status, data
+            return replies
+        _close(sock, rfile)
+        unanswered = http.client.RemoteDisconnected("connection closed by an earlier reply")
+        return replies + [unanswered] * (len(requests) - len(replies))
+
+
+def _pipeline(
+    sock: socket.socket, rfile: BinaryIO, requests: list[bytes], replies: list
+) -> bool:
+    """Sends the requests that ``replies`` does not answer yet, at most
+    :data:`MAX_PIPELINE` per write, and appends each reply; returns whether
+    the connection stays open."""
+    while len(replies) < len(requests):
+        window = requests[len(replies):len(replies) + MAX_PIPELINE]
+        sock.sendall(b"".join(window))
+        for _ in window:
+            status, data, keep_alive = _read_response(rfile)
+            replies.append((status, data))
+            if not keep_alive:
+                return False
+    return True
 
 
 def _close(sock: socket.socket, rfile: BinaryIO) -> None:
@@ -270,6 +317,10 @@ def _route(url: str) -> tuple[_Origin, str]:
 
 
 def _decode(url: str, status: int, data: bytes) -> dict:
+    """The JSON object of a reply below 500; a 3xx or 4xx raises
+    :class:`RemoteServiceError`."""
+    if status >= 300:
+        raise RemoteServiceError(url, status, data.decode("utf-8", "replace"))
     try:
         body = json.loads(data)
     except ValueError:  # also covers bodies that are not UTF-8
@@ -299,12 +350,9 @@ def post_json(
         except (OSError, http.client.HTTPException) as exc:
             last_error = str(exc) or type(exc).__name__
         else:
-            if status >= 500:
-                last_error = f"HTTP {status}"
-            elif status >= 300:
-                raise RemoteServiceError(url, status, data.decode("utf-8", "replace"))
-            else:
+            if status < 500:
                 return _decode(url, status, data)
+            last_error = f"HTTP {status}"
         if attempts < max(1, max_retries):
             delay = backoff * (2 ** (attempts - 1))
             logger.debug("retrying %s in %.2fs (%s)", url, delay, last_error)
@@ -333,3 +381,36 @@ class ServiceClient:
         return post_json(
             self.endpoint + route, payload, self.timeout, self.max_retries, self.backoff
         )
+
+    def post_all(self, route: str, payloads: Sequence[dict]) -> list[dict | Exception]:
+        """POST every payload to ``{endpoint}{route}`` as one pipeline on one
+        connection; returns, in order, each JSON object or the error of its
+        entry.
+
+        A 3xx or 4xx reply, and a 2xx body that is not a JSON object, is that
+        entry's :class:`RemoteServiceError`. Unanswered and 5xx entries are
+        sent again one at a time through :func:`post_json`, in order, each
+        with its retry budget; the first :class:`TransportError` ends that,
+        and every later entry still to send carries it.
+        """
+        url = self.endpoint + route
+        origin, target = _route(url)
+        replies = origin.post_all(
+            target, [json.dumps(p, allow_nan=False).encode("utf-8") for p in payloads],
+            self.timeout,
+        )
+        results: list[dict | Exception] = []
+        failed: TransportError | None = None
+        for payload, reply in zip(payloads, replies):
+            try:
+                if not isinstance(reply, Exception) and reply[0] < 500:
+                    results.append(_decode(url, *reply))
+                elif failed is not None:
+                    results.append(failed)
+                else:
+                    results.append(self.post(route, payload))
+            except TransportError as exc:
+                results.append(failed := exc)
+            except RemoteServiceError as exc:
+                results.append(exc)
+        return results

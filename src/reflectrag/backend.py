@@ -22,6 +22,11 @@ well-formed step that the server's backend cannot produce (it raised a
 :class:`BackendError`) is answered with HTTP 422 and ``{"error": str}``;
 the client raises it as a :class:`BackendError`, so it costs one judgment,
 not the sample. Any other 4xx is a :class:`RemoteServiceError`.
+
+A client may pipeline steps: :meth:`RemoteBackend.constrained_generate_each`
+writes a sample's relevance judgments on one keep-alive connection before
+reading any reply, so a server must answer a connection's requests in the
+order they arrived, as HTTP/1.1 requires.
 """
 from __future__ import annotations
 
@@ -126,7 +131,8 @@ class GenerativeBackend(Protocol):
 
     A backend whose class sets ``deterministic = True`` promises the same
     result for the same (prompt, allowed, max_tokens) step, so a repeated
-    step may be answered by :class:`StepMemo` instead.
+    step may be answered by :class:`StepMemo` instead. A backend may also
+    take independent steps together, as :func:`generate_each` describes.
     """
 
     control_tokens: frozenset[str]
@@ -416,34 +422,95 @@ class RemoteBackend:
         max_tokens: int | None = None,
     ) -> GenerationResult:
         allowed_set = None if allowed is None else frozenset(allowed)
-        payload = {
-            "segments": [s.to_dict() for s in prompt],
-            "allowed_tokens": sorted(allowed_set) if allowed_set is not None else None,
-            "max_tokens": max_tokens,
-        }
         try:
-            body = self.client.post("/v1/generate", payload)
-        except MalformedResponseError as exc:
-            raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
-        except RemoteServiceError as exc:
-            if exc.status != 422:
-                raise
-            raise BackendError(f"server could not produce the step: {exc}") from exc
-        try:
-            result = GenerationResult(
-                tokens=tuple(_json_typed(t, str) for t in body["tokens"]),
-                chosen_logprobs=tuple(
-                    float(_json_typed(x, int, float)) for x in body["chosen_logprobs"]
-                ),
-                candidate_logprobs=tuple(
-                    {k: float(_json_typed(v, int, float)) for k, v in c.items()}
-                    for c in body["candidates"]
-                ),
+            body = self.client.post(
+                "/v1/generate", _generate_request(prompt, allowed_set, max_tokens)
             )
-        except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
-        validate_generation_result(result, allowed_set)
-        return result
+        except RemoteServiceError as exc:
+            body = exc
+        return _generation_result(body, allowed_set)
+
+    def constrained_generate_each(
+        self,
+        prompts: Sequence[Sequence[PromptSegment]],
+        allowed: Iterable[str] | None = None,
+        max_tokens: int | None = None,
+    ) -> list[GenerationResult | BackendError]:
+        """One step per prompt, pipelined on one connection; a step the
+        server could not produce, or answered malformed, is its
+        :class:`BackendError`. Any other error of a step is raised, the first
+        in prompt order."""
+        allowed_set = None if allowed is None else frozenset(allowed)
+        bodies = self.client.post_all(
+            "/v1/generate", [_generate_request(p, allowed_set, max_tokens) for p in prompts]
+        )
+        results: list[GenerationResult | BackendError] = []
+        for body in bodies:
+            try:
+                results.append(_generation_result(body, allowed_set))
+            except BackendError as exc:
+                results.append(exc)
+        return results
+
+
+def _generate_request(
+    prompt: Sequence[PromptSegment], allowed: frozenset[str] | None, max_tokens: int | None
+) -> dict:
+    return {
+        "segments": [s.to_dict() for s in prompt],
+        "allowed_tokens": sorted(allowed) if allowed is not None else None,
+        "max_tokens": max_tokens,
+    }
+
+
+def _generation_result(
+    body: dict | Exception, allowed: frozenset[str] | None
+) -> GenerationResult:
+    """The validated result of one ``/v1/generate`` response body, or the
+    step's error raised: HTTP 422 as :class:`BackendError`, a malformed body
+    as :class:`ProtocolViolationError`, anything else as it is."""
+    if isinstance(body, MalformedResponseError):
+        raise ProtocolViolationError(f"malformed generation response: {body}") from body
+    if isinstance(body, RemoteServiceError) and body.status == 422:
+        raise BackendError(f"server could not produce the step: {body}") from body
+    if isinstance(body, Exception):
+        raise body
+    try:
+        result = GenerationResult(
+            tokens=tuple(_json_typed(t, str) for t in body["tokens"]),
+            chosen_logprobs=tuple(
+                float(_json_typed(x, int, float)) for x in body["chosen_logprobs"]
+            ),
+            candidate_logprobs=tuple(
+                {k: float(_json_typed(v, int, float)) for k, v in c.items()}
+                for c in body["candidates"]
+            ),
+        )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ProtocolViolationError(f"malformed generation response: {exc}") from exc
+    validate_generation_result(result, allowed)
+    return result
+
+
+def generate_each(
+    backend: GenerativeBackend,
+    prompts: Sequence[Sequence[PromptSegment]],
+    allowed: Iterable[str] | None = None,
+    max_tokens: int | None = None,
+) -> list[GenerationResult | BackendError]:
+    """One step per prompt, in order; a step that raised :class:`BackendError`
+    is its error, and any other error is raised. A backend with a
+    ``constrained_generate_each`` takes all the steps at once."""
+    each = getattr(backend, "constrained_generate_each", None)
+    if each is not None:
+        return each(prompts, allowed, max_tokens)
+    results: list[GenerationResult | BackendError] = []
+    for prompt in prompts:
+        try:
+            results.append(backend.constrained_generate(prompt, allowed, max_tokens))
+        except BackendError as exc:
+            results.append(exc)
+    return results
 
 
 class GenerateRequestError(ValueError):
@@ -513,6 +580,7 @@ __all__ = [
     "TransportError",
     "UnscriptedPromptError",
     "check_backend_conformance",
+    "generate_each",
     "load_script_file",
     "match_all",
     "match_fingerprint",

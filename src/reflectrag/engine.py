@@ -22,7 +22,13 @@ from typing import Protocol, Sequence
 from collections import Counter
 
 from ._http import ServiceClient
-from .backend import BackendError, GenerativeBackend, ProtocolViolationError
+from .backend import (
+    BackendError,
+    GenerationResult,
+    GenerativeBackend,
+    ProtocolViolationError,
+    generate_each,
+)
 from .index import DenseIndex, RetrievalHit, candidate_passages, search, search_batch
 from .kb import KnowledgeBase, Passage, passages_of
 from .prompts import PromptSegment, PromptStage, build_prompt as build_prompt_segments
@@ -230,13 +236,11 @@ class RemotePassageReranker:
 # --------------------------------------------------------------------------
 
 
-def _reflect(
-    backend: GenerativeBackend, prompt: Sequence[PromptSegment], stage: str,
-    allowed: frozenset[str], yes: ReflectiveToken, no: ReflectiveToken,
+def _read_reflection(
+    result: GenerationResult, stage: str, yes: ReflectiveToken, no: ReflectiveToken
 ) -> tuple[ReflectiveToken, float, float]:
-    """One constrained step over {yes, no}: (token, logp(yes), logp(no)).
+    """(token, logp(yes), logp(no)) of one constrained step over {yes, no}.
     The token is ``yes`` iff logp(yes) > logp(no), so a tie goes to ``no``."""
-    result = backend.constrained_generate(prompt, allowed=allowed, max_tokens=1)
     cands = result.candidate_logprobs[0]
     try:
         logp_yes, logp_no = cands[yes.value], cands[no.value]
@@ -251,11 +255,26 @@ def decide_retrieval(backend: GenerativeBackend, sample: QuerySample) -> Retriev
     """One constrained step over {<RET>, <NORET>}; both logprobs recorded.
     A tie resolves to NORET."""
     prompt = build_prompt_segments(PromptStage.DECISION, sample.question, sample.image_ref)
-    token, logp_ret, logp_noret = _reflect(
-        backend, prompt, "decision", DECISION_TOKENS,
-        ReflectiveToken.RET, ReflectiveToken.NORET,
+    result = backend.constrained_generate(prompt, allowed=DECISION_TOKENS, max_tokens=1)
+    token, logp_ret, logp_noret = _read_reflection(
+        result, "decision", ReflectiveToken.RET, ReflectiveToken.NORET
     )
     return RetrievalDecision(token=token, logp_ret=logp_ret, logp_noret=logp_noret)
+
+
+def _judgment_prompt(sample: QuerySample, passage: Passage) -> list[PromptSegment]:
+    return build_prompt_segments(
+        PromptStage.JUDGMENT, sample.question, sample.image_ref, [passage.text]
+    )
+
+
+def _read_judgment(passage: Passage, result: GenerationResult) -> RelevanceJudgment:
+    token, logp_rel, logp_norel = _read_reflection(
+        result, "relevance", ReflectiveToken.REL, ReflectiveToken.NOREL
+    )
+    return RelevanceJudgment(
+        passage=passage, token=token, logp_rel=logp_rel, logp_norel=logp_norel
+    )
 
 
 def judge_passage(
@@ -263,29 +282,30 @@ def judge_passage(
 ) -> RelevanceJudgment:
     """One constrained step over {<REL>, <NOREL>} for a single passage:
     REL iff the score logp(REL) - logp(NOREL) > 0, ties to NOREL."""
-    prompt = build_prompt_segments(
-        PromptStage.JUDGMENT, sample.question, sample.image_ref, [passage.text]
+    result = backend.constrained_generate(
+        _judgment_prompt(sample, passage), allowed=RELEVANCE_TOKENS, max_tokens=1
     )
-    token, logp_rel, logp_norel = _reflect(
-        backend, prompt, "relevance", RELEVANCE_TOKENS,
-        ReflectiveToken.REL, ReflectiveToken.NOREL,
-    )
-    return RelevanceJudgment(
-        passage=passage, token=token, logp_rel=logp_rel, logp_norel=logp_norel
-    )
+    return _read_judgment(passage, result)
 
 
 def judge_passages(
     backend: GenerativeBackend, sample: QuerySample, passages: Sequence[Passage]
 ) -> tuple[list[RelevanceJudgment], int]:
-    """Judge each passage in order; returns (judgments, failures). A passage
-    whose judgment raises :class:`BackendError` is logged, left out and
-    counted. The engine's selection and stage-2 mining both judge here."""
+    """Judge each passage as :func:`judge_passage` does; returns (judgments,
+    failures). The steps go to :func:`generate_each` together, so a remote
+    backend pipelines them. A passage whose judgment raises
+    :class:`BackendError` is logged, left out and counted; any other error
+    is raised. The engine's selection and stage-2 mining both judge here."""
+    results = generate_each(
+        backend, [_judgment_prompt(sample, p) for p in passages], RELEVANCE_TOKENS, 1
+    )
     judgments: list[RelevanceJudgment] = []
     failures = 0
-    for passage in passages:
+    for passage, result in zip(passages, results):
         try:
-            judgments.append(judge_passage(backend, sample, passage))
+            if isinstance(result, BackendError):
+                raise result
+            judgments.append(_read_judgment(passage, result))
         except BackendError as exc:
             failures += 1
             logger.warning("judgment failed for %s (%s); passage skipped", passage.key, exc)

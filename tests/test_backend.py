@@ -4,6 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from reflectrag import _http
 from reflectrag.backend import (
     BackendError,
     ConformanceError,
@@ -25,7 +26,10 @@ from reflectrag.backend import (
     serve_generate,
     validate_generation_result,
 )
+from reflectrag.engine import judge_passages
+from reflectrag.kb import Passage
 from reflectrag.prompts import PromptStage, build_prompt, prompt_fingerprint
+from reflectrag.samples import QuerySample
 from reflectrag.synth import RuleBackend
 from reflectrag.tokens import CONTROL_TOKENS, DECISION_TOKENS, RELEVANCE_TOKENS
 
@@ -409,3 +413,90 @@ def test_huge_remote_logprob_costs_one_judgment_not_the_sample():
         trace = engine.run(suite.samples[0], PipelineConfig())
     assert trace.judge_failures == 1
     assert len(trace.judgments) == len(trace.candidates) - 1 == len(judged) - 1
+
+
+class TestPipelinedJudgments:
+    """``judge_passages`` on a remote backend pipelines a sample's judgments;
+    every failure keeps the scope it has on the one-at-a-time path."""
+
+    PASSAGES = [Passage("mill", i, text) for i, text in enumerate(
+        ["Tobias Fenn built it.", "A river runs past.", "The mill is old.", "Fenn was a miller."]
+    )]
+    SAMPLE = QuerySample(id="s1", question=QUESTION, image_ref="img-1", image_embedding=None,
+                         gold_answers=("Tobias Fenn",), gold_doc_id="mill", dataset="t", split="t")
+
+    def judge(self, handler, keep_alive=True):
+        with StubServer(handler, keep_alive=keep_alive) as server:
+            client = ServiceClient(server.endpoint, timeout=5, max_retries=1)
+            return judge_passages(RemoteBackend(client), self.SAMPLE, self.PASSAGES), server
+
+    def test_http10_server_gives_the_sequential_judgments_one_request_per_step(self):
+        result, server = self.judge(lambda p, b: (200, serve_generate(RULE, b)), keep_alive=False)
+        assert result == judge_passages(RULE, self.SAMPLE, self.PASSAGES)
+        assert len(server.requests) == len(self.PASSAGES)
+        assert server.connections == len(self.PASSAGES)
+
+    def test_keep_alive_server_gets_one_pipeline(self, monkeypatch):
+        def single_request(*args, **kwargs):
+            raise AssertionError("a judgment was sent on its own")
+
+        monkeypatch.setattr(_http, "post_json", single_request)
+        (judgments, failures), server = self.judge(lambda p, b: (200, serve_generate(RULE, b)))
+        assert failures == 0 and len(judgments) == len(self.PASSAGES)
+        assert len(server.requests) == len(self.PASSAGES)
+        assert server.connections == 1
+
+    def test_422_costs_that_judgment_alone(self):
+        def handler(path, payload):
+            if any("river" in s["payload"] for s in payload["segments"]):
+                return 422, {"error": "cannot produce the step"}
+            return 200, serve_generate(RULE, payload)
+
+        (judgments, failures), _ = self.judge(handler)
+        assert failures == 1
+        expected, _ = judge_passages(RULE, self.SAMPLE, self.PASSAGES)
+        assert judgments == [j for j in expected if j.passage.section_index != 1]
+
+    def test_malformed_entry_is_a_protocol_violation_for_that_entry_alone(self):
+        def handler(path, payload):
+            if any("mill is old" in s["payload"] for s in payload["segments"]):
+                return 200, b"<html>502 Bad Gateway</html>"
+            return 200, serve_generate(RULE, payload)
+
+        prompts = [build_prompt(PromptStage.JUDGMENT, QUESTION, "img-1", [p.text])
+                   for p in self.PASSAGES]
+        with StubServer(handler, keep_alive=True) as server:
+            remote = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
+            results = remote.constrained_generate_each(prompts, RELEVANCE_TOKENS, 1)
+        assert isinstance(results[2], ProtocolViolationError)
+        assert "malformed" in str(results[2])
+        for i in (0, 1, 3):
+            assert results[i] == RULE.constrained_generate(prompts[i], RELEVANCE_TOKENS, 1)
+
+    def test_every_relevance_step_503_fails_the_sample_without_a_retry_storm(self):
+        from reflectrag.engine import PipelineConfig, ReflectiveEngine
+        from reflectrag.index import RetrievalMode, build_index
+        from reflectrag.synth import make_synthetic_suite
+
+        suite = make_synthetic_suite(num_docs=6, num_fact_samples=1, num_noret_samples=0, seed=5)
+        rule = RuleBackend(suite.answers_by_question, suite.direct_answers)
+        relevance = []
+
+        def handler(path, payload):
+            if payload["allowed_tokens"] == sorted(RELEVANCE_TOKENS):
+                relevance.append(payload)
+                return 503, {"error": "overloaded"}
+            return 200, serve_generate(rule, payload)
+
+        max_retries = 3
+        with StubServer(handler, keep_alive=True) as server:
+            client = ServiceClient(server.endpoint, timeout=5, max_retries=max_retries, backoff=0)
+            engine = ReflectiveEngine(RemoteBackend(client), kb=suite.kb,
+                                      index=build_index(suite.kb, RetrievalMode.VISUAL))
+            local = engine.with_backend(rule).run(suite.samples[0], PipelineConfig())
+            with pytest.raises(TransportError):
+                engine.run(suite.samples[0], PipelineConfig())
+        # One pipelined request per judgment, then the first one alone with its
+        # retry budget: never judgments x retries.
+        assert len(local.candidates) > 1
+        assert len(relevance) <= len(local.candidates) + max_retries

@@ -1,18 +1,20 @@
 import json
 import re
+import socket
 import subprocess
 import threading
 import time
 
 import pytest
 
-from reflectrag._http import RemoteServiceError, ServiceClient, TransportError
+from reflectrag._http import RemoteServiceError, ServiceClient, TransportError, _read_response
 from reflectrag.backend import BackendError, RemoteBackend, serve_generate
 from reflectrag.cli import _build_engine, build_parser, load_run_config, main
 from reflectrag.kb import Passage
-from reflectrag.prompts import PromptSegment, SegmentKind
+from reflectrag.prompts import PromptSegment, PromptStage, SegmentKind, build_prompt
 from reflectrag.samples import load_samples
 from reflectrag.synth import RuleBackend
+from reflectrag.tokens import DECISION_TOKENS
 
 from conftest import SCRIPT_ENV, doc_record, make_synthetic_data, script_command, write_kb_file
 from stub_server import StubServer
@@ -549,6 +551,37 @@ def test_reference_server_writes_the_rule_backend_bytes(block_corpus, reference_
                          "--backend", "remote", "--endpoint", reference_server)) == 0
     assert run(eval_args(block_corpus, dataset, tmp_path / "rule", "--jobs", 4)) == 0
     for name in ("eval_report.json", "traces_full.jsonl"):
+        assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+
+def test_reference_server_answers_pipelined_requests_in_order(block_corpus, reference_server):
+    samples = load_samples(block_corpus[2])
+    rule = RuleBackend.from_samples(samples)
+    payloads = [{"segments": [s.to_dict() for s in build_prompt(
+        PromptStage.DECISION, sample.question, sample.image_ref)],
+        "allowed_tokens": sorted(DECISION_TOKENS), "max_tokens": 1} for sample in samples[:3]]
+    host, port = reference_server.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(b"".join(
+            b"POST /v1/generate HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n%s"
+            % (host.encode(), len(body), body)
+            for body in (json.dumps(p).encode() for p in payloads)
+        ))
+        with sock.makefile("rb") as rfile:
+            replies = [_read_response(rfile) for _ in payloads]
+    assert [(status, keep_alive) for status, _, keep_alive in replies] == [(200, True)] * 3
+    assert [json.loads(body) for _, body, _ in replies] == [
+        serve_generate(rule, p) for p in payloads
+    ]
+
+
+def test_remote_stage2_mining_writes_the_rule_backend_bytes(block_corpus, reference_server, tmp_path):
+    kb, index, dataset = block_corpus
+    for backend in ("rule", "remote"):
+        assert run(["mine", "--stage", 2, "--kb", kb, "--index", index, "--dataset", dataset,
+                    "--backend", backend, "--endpoint", reference_server, "--jobs", 2,
+                    "--seed", 17, "--out", tmp_path / backend]) == 0
+    for name in ("stage2_sequences.jsonl", "stage2_accounting.json"):
         assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
 
 

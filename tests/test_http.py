@@ -3,6 +3,7 @@ the shared JSON transport, against the in-process stub, and its reading of
 the wire format, against a raw-socket server that replays canned bytes."""
 import contextlib
 import http.client
+import io
 import re
 import socket
 import sys
@@ -241,3 +242,103 @@ def test_host_names_the_origin(monkeypatch):
 def test_url_with_whitespace_is_refused():
     with pytest.raises(ValueError, match="unsupported URL"):
         post_json("http://127.0.0.1:9/v1/x HTTP/1.1\r\nX-Injected: 1", {}, timeout=5)
+
+
+def numbered(i: int, head: bytes = b"") -> bytes:
+    """A 200 reply whose JSON body is ``{"i": i}``, with ``head`` among its headers."""
+    body = b'{"i": %d}' % i
+    return b"HTTP/1.1 200 OK\r\n%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
+
+
+def test_pipeline_windows_share_one_connection():
+    count = 2 * _http.MAX_PIPELINE + 3
+    with StubServer(echo, keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
+        results = client.post_all("/v1/embed", [{"i": i} for i in range(count)])
+        assert [r["payload"] for r in results] == [{"i": i} for i in range(count)]
+        assert [p for _, p in server.requests] == [{"i": i} for i in range(count)]
+        assert server.connections == 1
+
+
+def test_pipeline_reads_each_window_before_writing_the_next():
+    writes = []
+
+    class Socket:
+        def sendall(self, data):
+            writes.append(data.count(b"POST "))
+
+    count = 2 * _http.MAX_PIPELINE + 3
+    requests = [b"POST /v1/x HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"] * count
+    replies = []
+    assert _http._pipeline(Socket(), io.BytesIO(numbered(0) * count), requests, replies)
+    assert writes == [_http.MAX_PIPELINE, _http.MAX_PIPELINE, 3]
+    assert replies == [(200, b'{"i": 0}')] * count
+
+
+def test_pipeline_closed_after_reply_k_resends_the_rest():
+    replies = [(numbered(0), False), (numbered(1, b"Connection: close\r\n"), True),
+               (numbered(2), False), (numbered(3), False)]
+    with CannedServer(*replies) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
+        assert client.post_all("/v1/x", [{}] * 4) == [{"i": i} for i in range(4)]
+        # Two pipelined on the first connection, then one at a time on a second.
+        assert len(server.heads) == 4
+        assert server.connections == 2
+
+
+def test_pipeline_retries_only_the_5xx_entry_and_keeps_a_4xx_entry_as_its_error():
+    failed = set()
+
+    def handler(path, payload):
+        if payload["i"] == 1 and 1 not in failed:
+            failed.add(1)
+            return 503, {"error": "busy"}
+        if payload["i"] == 2:
+            return 404, {"error": "no such route"}
+        return 200, payload
+
+    with StubServer(handler, keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=2, backoff=0)
+        results = client.post_all("/v1/x", [{"i": i} for i in range(4)])
+        assert [p["i"] for _, p in server.requests] == [0, 1, 2, 3, 1]
+    assert results[0] == {"i": 0} and results[1] == {"i": 1} and results[3] == {"i": 3}
+    assert isinstance(results[2], RemoteServiceError) and results[2].status == 404
+
+
+def test_pipeline_stops_resending_at_the_first_transport_error():
+    with StubServer(lambda path, payload: (503, {}), keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=3, backoff=0)
+        results = client.post_all("/v1/x", [{"i": i} for i in range(5)])
+        # Five pipelined, then entry 0 alone with its retry budget of three.
+        assert [p["i"] for _, p in server.requests] == [0, 1, 2, 3, 4, 0, 0, 0]
+    assert isinstance(results[0], TransportError) and results[0].attempts == 3
+    assert all(r is results[0] for r in results)
+
+
+def test_pipeline_to_a_dead_server_costs_one_resend():
+    client = _http.ServiceClient("http://127.0.0.1:1", timeout=0.2, max_retries=2, backoff=0)
+    results = client.post_all("/v1/x", [{"i": i} for i in range(4)])
+    assert isinstance(results[0], TransportError) and results[0].attempts == 2
+    assert all(r is results[0] for r in results)
+
+
+def test_pipeline_on_a_connection_dropped_while_idle_is_replaced_without_an_attempt():
+    with StubServer(echo, keep_alive=True) as server:
+        origin, target = _http._route(server.endpoint + "/v1/embed")
+        bodies = [b'{"i": %d}' % i for i in range(3)]
+        assert [status for status, _ in origin.post_all(target, bodies, 5)] == [200] * 3
+        server.drop_connections()
+        # No exception entry: the stale connection was replaced inside the exchange.
+        replies = origin.post_all(target, bodies, 5)
+        assert [status for status, _ in replies] == [200] * 3
+        assert server.connections == 2
+        assert len(server.requests) == 6
+
+
+def test_pipeline_reply_that_breaks_ends_the_exchange():
+    replies = [(numbered(0), False), (b"HTTP/1.1 2OO OK\r\nContent-Length: 0\r\n\r\n", True)]
+    with CannedServer(*replies) as server:
+        origin, target = _http._route(server.endpoint + "/v1/x")
+        first, second, third = origin.post_all(target, [b"{}"] * 3, 5)
+        assert first == (200, b'{"i": 0}')
+        assert isinstance(second, http.client.BadStatusLine) and third is second
