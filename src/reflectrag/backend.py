@@ -130,9 +130,11 @@ class GenerativeBackend(Protocol):
     """Shareable across threads; one call per constrained decoding step.
 
     A backend whose class sets ``deterministic = True`` promises the same
-    result for the same (prompt, allowed, max_tokens) step, so a repeated
-    step may be answered by :class:`StepMemo` instead. A backend may also
-    take independent steps together, as :func:`generate_each` describes.
+    result for the same (prompt, allowed, max_tokens) step, so the engine
+    may answer a sample's repeated step from memory
+    (:meth:`~reflectrag.engine.ReflectiveEngine.with_step_memo`). A backend
+    may also take independent steps together, as :func:`generate_each`
+    describes.
     """
 
     control_tokens: frozenset[str]
@@ -152,38 +154,6 @@ def check_backend_conformance(backend: GenerativeBackend) -> None:
         raise ConformanceError(
             f"backend does not declare control tokens: {sorted(missing)}"
         )
-
-
-class StepMemo:
-    """Wraps a deterministic backend and answers a repeated step from memory.
-
-    Keyed on (allowed set, max_tokens, segment kinds and payloads). Only
-    successes are stored, so a failing step fails again on its next call.
-    Made for one sample's steps and dropped after them: no two samples share
-    a question, so a longer-lived memo would hold entries that never hit.
-    """
-
-    def __init__(self, backend: GenerativeBackend):
-        self.backend = backend
-        self.control_tokens = backend.control_tokens
-        self._results: dict[tuple, GenerationResult] = {}
-
-    def constrained_generate(
-        self,
-        prompt: Sequence[PromptSegment],
-        allowed: Iterable[str] | None = None,
-        max_tokens: int | None = None,
-    ) -> GenerationResult:
-        key = (
-            None if allowed is None else frozenset(allowed),
-            max_tokens,
-            tuple((s.kind, s.payload) for s in prompt),
-        )
-        result = self._results.get(key)
-        if result is None:
-            result = self.backend.constrained_generate(prompt, allowed, max_tokens)
-            self._results[key] = result
-        return result
 
 
 # --------------------------------------------------------------------------
@@ -576,7 +546,6 @@ __all__ = [
     "ScriptError",
     "ScriptedResponse",
     "ServiceClient",
-    "StepMemo",
     "TransportError",
     "UnscriptedPromptError",
     "check_backend_conformance",

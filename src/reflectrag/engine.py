@@ -2,7 +2,8 @@
 answer.
 
 One run is sequential (each phase depends on the previous); distinct samples
-can run concurrently because the engine holds no mutable state. Every run
+can run concurrently because the engine holds no mutable state, apart from
+the step memo of a copy made for one sample. Every run
 returns a full :class:`PipelineTrace` so evaluation and debugging never need
 to re-execute the backend.
 """
@@ -16,6 +17,7 @@ import threading
 import time
 from dataclasses import dataclass, fields
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -130,6 +132,12 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return _fields_to_dict(self)
+
+    @cached_property
+    def _trace_dict(self) -> dict:
+        """:meth:`to_dict`, made once per config and shared by every trace
+        of it, so it must not be modified."""
+        return self.to_dict()
 
     @classmethod
     def from_dict(cls, obj: dict) -> PipelineConfig:
@@ -251,15 +259,24 @@ def _read_reflection(
     return (yes if logp_yes > logp_no else no), logp_yes, logp_no
 
 
-def decide_retrieval(backend: GenerativeBackend, sample: QuerySample) -> RetrievalDecision:
+def decide_retrieval(
+    backend: GenerativeBackend, sample: QuerySample, memo: dict | None = None
+) -> RetrievalDecision:
     """One constrained step over {<RET>, <NORET>}; both logprobs recorded.
-    A tie resolves to NORET."""
+    A tie resolves to NORET. ``memo`` is a sample's step memo
+    (:meth:`ReflectiveEngine.with_step_memo`)."""
+    key = (PromptStage.DECISION, None)
+    if memo is not None and key in memo:
+        return memo[key]
     prompt = build_prompt_segments(PromptStage.DECISION, sample.question, sample.image_ref)
     result = backend.constrained_generate(prompt, allowed=DECISION_TOKENS, max_tokens=1)
     token, logp_ret, logp_noret = _read_reflection(
         result, "decision", ReflectiveToken.RET, ReflectiveToken.NORET
     )
-    return RetrievalDecision(token=token, logp_ret=logp_ret, logp_noret=logp_noret)
+    decision = RetrievalDecision(token=token, logp_ret=logp_ret, logp_noret=logp_noret)
+    if memo is not None:
+        memo[key] = decision
+    return decision
 
 
 def _judgment_prompt(sample: QuerySample, passage: Passage) -> list[PromptSegment]:
@@ -289,26 +306,40 @@ def judge_passage(
 
 
 def judge_passages(
-    backend: GenerativeBackend, sample: QuerySample, passages: Sequence[Passage]
+    backend: GenerativeBackend,
+    sample: QuerySample,
+    passages: Sequence[Passage],
+    memo: dict | None = None,
 ) -> tuple[list[RelevanceJudgment], int]:
     """Judge each passage as :func:`judge_passage` does; returns (judgments,
-    failures). The steps go to :func:`generate_each` together, so a remote
-    backend pipelines them. A passage whose judgment raises
-    :class:`BackendError` is logged, left out and counted; any other error
-    is raised. The engine's selection and stage-2 mining both judge here."""
-    results = generate_each(
-        backend, [_judgment_prompt(sample, p) for p in passages], RELEVANCE_TOKENS, 1
-    )
+    failures). The steps that ``memo`` cannot answer go to
+    :func:`generate_each` together, so a remote backend pipelines them. A
+    passage whose judgment raises :class:`BackendError` is logged, left out
+    and counted; any other error is raised. The engine's selection and
+    stage-2 mining both judge here."""
+    known = {} if memo is None else memo
+    keys = [(PromptStage.JUDGMENT, p.key) for p in passages]
+    remembered = [known.get(key) for key in keys]
+    results = iter(generate_each(
+        backend,
+        [_judgment_prompt(sample, p) for p, j in zip(passages, remembered) if j is None],
+        RELEVANCE_TOKENS,
+        1,
+    ))
     judgments: list[RelevanceJudgment] = []
     failures = 0
-    for passage, result in zip(passages, results):
-        try:
-            if isinstance(result, BackendError):
-                raise result
-            judgments.append(_read_judgment(passage, result))
-        except BackendError as exc:
-            failures += 1
-            logger.warning("judgment failed for %s (%s); passage skipped", passage.key, exc)
+    for passage, key, judgment in zip(passages, keys, remembered):
+        if judgment is None:
+            result = next(results)
+            try:
+                if isinstance(result, BackendError):
+                    raise result
+                judgment = known[key] = _read_judgment(passage, result)
+            except BackendError as exc:
+                failures += 1
+                logger.warning("judgment failed for %s (%s); passage skipped", passage.key, exc)
+                continue
+        judgments.append(judgment)
     return judgments, failures
 
 
@@ -359,20 +390,20 @@ def _answer(
     backend: GenerativeBackend,
     sample: QuerySample,
     selected: Sequence[Passage] | None,
+    memo: dict | None = None,
 ) -> str:
     if selected is None:
-        prompt = build_prompt_segments(
-            PromptStage.ANSWER_DIRECT, sample.question, sample.image_ref
-        )
+        key = (PromptStage.ANSWER_DIRECT, None)
     else:
-        prompt = build_prompt_segments(
-            PromptStage.ANSWER_WITH_PASSAGES,
-            sample.question,
-            sample.image_ref,
-            [p.text for p in selected],
-        )
-    result = backend.constrained_generate(prompt, allowed=None, max_tokens=None)
-    return result.text.strip()
+        key = (PromptStage.ANSWER_WITH_PASSAGES, tuple(p.key for p in selected))
+    if memo is not None and key in memo:
+        return memo[key]
+    texts = None if selected is None else [p.text for p in selected]
+    prompt = build_prompt_segments(key[0], sample.question, sample.image_ref, texts)
+    answer = backend.constrained_generate(prompt, allowed=None, max_tokens=None).text.strip()
+    if memo is not None:
+        memo[key] = answer
+    return answer
 
 
 class _HitTable:
@@ -418,6 +449,7 @@ class ReflectiveEngine:
         self.similarity_scorer = similarity_scorer
         self.reranker = reranker
         self._hit_table: _HitTable | None = None
+        self._memo: dict | None = None
 
     def with_batched_search(self, samples: Sequence[QuerySample]) -> ReflectiveEngine:
         """A copy that searches every sample of ``samples`` that can retrieve
@@ -440,10 +472,25 @@ class ReflectiveEngine:
         engine._hit_table = _HitTable(self.index, ready)
         return engine
 
-    def with_backend(self, backend: GenerativeBackend) -> ReflectiveEngine:
-        """A copy that sends its steps to ``backend``; it keeps the hit table."""
+    def with_step_memo(self) -> ReflectiveEngine:
+        """A copy that runs the configs of one sample and asks each of its
+        steps once, when the backend declares ``deterministic = True``;
+        otherwise this engine.
+
+        The copy's memo answers a repeated step without building its prompt.
+        It is keyed on what a step depends on beyond the sample: nothing for
+        the decision, ``passage.key`` for a judgment, and for the answer the
+        selected passage keys in order, or ``None`` when it answers directly.
+        These keys suffice because a prompt depends only on (stage, question,
+        image_ref, passage texts), and within one knowledge base a passage key
+        maps to one text. They leave the sample out, so a copy must run one
+        sample only, from one thread. Only successes are stored: a step that
+        failed is asked again.
+        """
+        if getattr(self.backend, "deterministic", False) is not True:
+            return self
         engine = copy.copy(self)
-        engine.backend = backend
+        engine._memo = {}
         return engine
 
     # -- phases ------------------------------------------------------------
@@ -496,7 +543,7 @@ class ReflectiveEngine:
                 selected.extend(sorted(chosen, key=lambda p: p.section_index))
             return [], selected, False, 0
 
-        judgments, failures = judge_passages(self.backend, sample, candidates)
+        judgments, failures = judge_passages(self.backend, sample, candidates, self._memo)
         if not judgments:
             raise PipelineError(
                 f"sample {sample.id!r}: every candidate judgment failed"
@@ -527,7 +574,7 @@ class ReflectiveEngine:
         started = time.perf_counter()
 
         t0 = time.perf_counter()
-        decision = decide_retrieval(self.backend, sample)
+        decision = decide_retrieval(self.backend, sample, self._memo)
         timings["decide"] = time.perf_counter() - t0
 
         if oracle_doc_id is not None:
@@ -571,7 +618,7 @@ class ReflectiveEngine:
             timings["judge"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        answer = _answer(self.backend, sample, selected)
+        answer = _answer(self.backend, sample, selected, self._memo)
         timings["answer"] = time.perf_counter() - t0
         timings["total"] = time.perf_counter() - started
 
@@ -587,7 +634,7 @@ class ReflectiveEngine:
             fallback=fallback,
             judge_failures=failures,
             timings=timings,
-            config=config.to_dict(),
+            config=config._trace_dict,
         )
 
     def run(self, sample: QuerySample, config: PipelineConfig) -> PipelineTrace:

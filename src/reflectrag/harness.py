@@ -17,7 +17,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .backend import StepMemo
 from .engine import (
     ForcedDecision,
     PipelineConfig,
@@ -109,8 +108,9 @@ class EvalReport:
 def score_answer(
     pred: str, golds: Sequence[str], rel_tol: float = 0.05
 ) -> dict[str, float]:
-    f1 = max((token_f1_em(pred, g)[0] for g in golds), default=0.0)
-    em = max((token_f1_em(pred, g)[1] for g in golds), default=0)
+    per_gold = [token_f1_em(pred, g) for g in golds]
+    f1 = max((f for f, _ in per_gold), default=0.0)
+    em = max((e for _, e in per_gold), default=0)
     return {
         "vqa_accuracy": float(vqa_accuracy(pred, golds)),
         "relaxed_accuracy": float(relaxed_accuracy(pred, golds, rel_tol)),
@@ -127,9 +127,17 @@ def evaluate_traces(
     trace_dicts: Sequence[dict],
     samples: Sequence[QuerySample],
     rel_tol: float = 0.05,
+    scores_by_answer: dict | None = None,
 ) -> EvalReport:
-    """Score serialized traces against their samples' gold answers."""
+    """Score serialized traces against their samples' gold answers.
+
+    ``scores_by_answer`` maps (sample id, answer) to :func:`score_answer`'s
+    result; calls that share it, with the same samples and ``rel_tol``,
+    score each distinct answer of a sample once.
+    """
     samples_by_id = {s.id: s for s in samples}
+    if scores_by_answer is None:
+        scores_by_answer = {}
     rows = []
     for trace in sorted(trace_dicts, key=lambda t: t["sample_id"]):
         sample = samples_by_id.get(trace["sample_id"])
@@ -137,7 +145,12 @@ def evaluate_traces(
             raise KeyError(f"trace sample id {trace['sample_id']!r} not in dataset")
         if not sample.gold_answers:
             continue
-        scores = score_answer(trace["answer"], sample.gold_answers, rel_tol)
+        key = (sample.id, trace["answer"])
+        scores = scores_by_answer.get(key)
+        if scores is None:
+            scores = scores_by_answer[key] = score_answer(
+                trace["answer"], sample.gold_answers, rel_tol
+            )
         rows.append((sample, trace, scores))
     if not rows:
         raise ValueError("nothing to score: no traces with gold answers")
@@ -229,9 +242,10 @@ def evaluate_configs(
     One task runs every config of one sample back to back; tasks run
     independently (optionally in parallel) and are consumed in sample-id
     order, so concurrency never changes the output. With more than one config
-    and a deterministic backend, each task answers a repeated step from a
-    :class:`StepMemo` made for its sample. The first sample that retrieves at
-    a given k searches the index for every sample that can, in one batch
+    and a deterministic backend, each task asks each step of its sample once
+    (:meth:`ReflectiveEngine.with_step_memo`), and each distinct answer of a
+    sample is scored once. The first sample that retrieves at a given k
+    searches the index for every sample that can, in one batch
     (:meth:`ReflectiveEngine.with_batched_search`).
 
     Without ``sinks`` each run keeps its trace dicts. With them, config i's
@@ -241,7 +255,6 @@ def evaluate_configs(
     """
     ordered = sorted(samples, key=lambda s: s.id)
     engine = engine.with_batched_search(ordered)
-    memo = len(configs) > 1 and getattr(engine.backend, "deterministic", False) is True
 
     def encode(i: int, trace: dict) -> tuple[str | dict | None, dict]:
         if sinks is None:
@@ -249,7 +262,7 @@ def evaluate_configs(
         return (json_line(trace) if sinks[i] else None), score_fields(trace)
 
     def run_sample(sample: QuerySample) -> list[tuple | str]:
-        task = engine.with_backend(StepMemo(engine.backend)) if memo else engine
+        task = engine.with_step_memo() if len(configs) > 1 else engine
         outcomes: list[tuple | str] = []
         for i, config in enumerate(configs):
             try:
@@ -284,12 +297,14 @@ def evaluate_configs(
         consume(map(run_sample, ordered))
 
     runs = []
+    scores_by_answer: dict = {}
     for kept, projected, failed in zip(traces, scored, failures):
         for sid, err in failed:
             logger.error("pipeline failed for %s: %s", sid, err)
         if not projected:
             raise RuntimeError("every sample failed; no report to produce")
-        runs.append(EvalRun(evaluate_traces(projected, ordered, rel_tol), kept, failed))
+        report = evaluate_traces(projected, ordered, rel_tol, scores_by_answer)
+        runs.append(EvalRun(report, kept, failed))
     return runs
 
 

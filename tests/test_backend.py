@@ -16,12 +16,10 @@ from reflectrag.backend import (
     ScriptError,
     ScriptedResponse,
     ServiceClient,
-    StepMemo,
     TransportError,
     UnscriptedPromptError,
     check_backend_conformance,
     load_script_file,
-    match_passage_contains,
     match_user_text,
     serve_generate,
     validate_generation_result,
@@ -162,27 +160,6 @@ def test_register_failure_injects_backend_error():
     backend.register_failure(match_user_text("What color is the car?"), "boom")
     with pytest.raises(BackendError, match="boom"):
         backend.constrained_generate(DECISION_PROMPT)
-
-
-def test_step_memo_answers_repeats_and_stores_no_failure():
-    backend = MockBackend()
-    backend.register_failure(match_passage_contains("broken"), "boom", allowed=RELEVANCE_TOKENS)
-    backend.register_script(
-        match_user_text("What color is the car?"), ScriptedResponse(("<NORET>",)),
-        allowed=DECISION_TOKENS,
-    )
-    backend.register_script(match_user_text("What color is the car?"), ScriptedResponse(("Black",)))
-    memo = StepMemo(backend)
-    assert memo.control_tokens == backend.control_tokens
-    first = memo.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
-    assert memo.constrained_generate(DECISION_PROMPT, list(DECISION_TOKENS), 1) is first
-    assert memo.constrained_generate(DECISION_PROMPT, None, None).text == "Black"
-    assert len(backend.calls) == 2  # allowed and max_tokens are part of the key
-    judge = build_prompt(PromptStage.JUDGMENT, "What color is the car?", "img-1", ["broken"])
-    for _ in range(2):
-        with pytest.raises(BackendError, match="boom"):
-            memo.constrained_generate(judge, RELEVANCE_TOKENS, 1)
-    assert len(backend.calls) == 4  # a failed step is asked again
 
 
 def test_conformance_check():
@@ -493,7 +470,9 @@ class TestPipelinedJudgments:
             client = ServiceClient(server.endpoint, timeout=5, max_retries=max_retries, backoff=0)
             engine = ReflectiveEngine(RemoteBackend(client), kb=suite.kb,
                                       index=build_index(suite.kb, RetrievalMode.VISUAL))
-            local = engine.with_backend(rule).run(suite.samples[0], PipelineConfig())
+            local = ReflectiveEngine(rule, kb=suite.kb, index=engine.index).run(
+                suite.samples[0], PipelineConfig()
+            )
             with pytest.raises(TransportError):
                 engine.run(suite.samples[0], PipelineConfig())
         # One pipelined request per judgment, then the first one alone with its

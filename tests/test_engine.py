@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import protocol_suite as suite
-from reflectrag.backend import MockBackend, ProtocolViolationError, ScriptedResponse, match_user_text
+from reflectrag.backend import (
+    MockBackend,
+    ProtocolViolationError,
+    ScriptedResponse,
+    match_all,
+    match_passage_contains,
+    match_user_text,
+)
 from reflectrag.engine import (
     ConfigurationError,
     ForcedDecision,
@@ -130,6 +137,52 @@ def test_step_missing_a_logprob_fails_at_its_scope(stage, caplog):
     assert trace.judge_failures == 1
     assert [j.passage.key for j in trace.judgments] == [("kbdoc-b", 1)]
     assert message in caplog.text
+
+
+def test_step_memo_asks_each_step_once_and_a_failed_step_again():
+    q = "Describe the copper deck. (memo)"
+    backend = MockBackend()
+    backend.register_script(
+        match_user_text(q), ScriptedResponse(("<RET>",), (suite.dec(0.9),)),
+        allowed=DECISION_TOKENS,
+    )
+    backend.register_failure(
+        match_passage_contains("section one"), "boom", allowed=RELEVANCE_TOKENS
+    )
+    backend.register_script(
+        match_user_text(q), ScriptedResponse(("<REL>",), (suite.rel(0.8),)),
+        allowed=RELEVANCE_TOKENS,
+    )
+    backend.register_script(
+        match_all(match_user_text(q), match_passage_contains("section zero")),
+        ScriptedResponse(("copper deck",)),
+    )
+    backend.register_script(match_user_text(q), ScriptedResponse(("no lookup",)))
+    kb = suite.build_kb()
+    engine = ReflectiveEngine(backend, kb=kb, index=build_index(kb, RetrievalMode.VISUAL))
+    sample = make_sample(q, "m1", suite.query_embedding([("kbdoc-a", 1.0)]))
+    full = PipelineConfig(top_k_docs=1)
+    direct = PipelineConfig(top_k_docs=1, force_decision=ForcedDecision.ALWAYS_NORET)
+
+    memo = engine.with_step_memo()
+    traces = [memo.run(sample, config) for config in (full, direct, full)]
+    # The stage is part of every key: the direct answer is not the decision,
+    # and the answer over one passage is not that passage's judgment.
+    assert [t.answer for t in traces] == ["copper deck", "no lookup", "copper deck"]
+    assert [t.judge_failures for t in traces] == [1, 0, 1]
+    assert trace_to_dict(traces[2], False) == trace_to_dict(traces[0], False)
+    assert traces[1].decision.logp_ret == traces[0].decision.logp_ret
+    by_stage = [c.allowed for c in backend.calls]
+    # Each success is asked once; the failing judgment once per full run.
+    assert by_stage.count(frozenset(DECISION_TOKENS)) == 1
+    assert by_stage.count(frozenset(RELEVANCE_TOKENS)) == 1 + 2
+    assert by_stage.count(None) == 2
+
+    class Undeclared(MockBackend):
+        deterministic = False
+
+    plain = ReflectiveEngine(Undeclared(), kb=kb)
+    assert plain.with_step_memo() is plain
 
 
 def judgment(doc, idx, score, base=-1.0):

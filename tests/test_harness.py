@@ -190,6 +190,37 @@ class TestOnePass:
         assert by_stage.count(RELEVANCE_TOKENS) == 3
         assert by_stage.count(None) == 1
 
+    def test_five_variants_build_one_prompt_per_step_and_score_each_answer_once(
+        self, small_run, monkeypatch
+    ):
+        from reflectrag import engine as engine_mod
+        from reflectrag import harness
+
+        def counting(owner, name):
+            calls, original = [], getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+            return calls
+
+        suite, engine = small_run
+        prompts = counting(engine_mod, "build_prompt_segments")
+        steps = counting(RuleBackend, "constrained_generate")
+        scored = counting(harness, "score_answer")
+        configs = [variant_config(name, PipelineConfig(seed=3)) for name in AblationName]
+        runs = evaluate_configs(engine, suite.samples, configs, include_timings=False)
+        assert not any(run.failures for run in runs)
+        assert steps and len(prompts) == len(steps)
+        golds = {s.id: s.gold_answers for s in suite.samples}
+        distinct = {(t["sample_id"], t["answer"]) for run in runs for t in run.traces}
+        assert len(distinct) < sum(len(run.traces) for run in runs)
+        assert sorted(args[:2] for args in scored) == sorted(
+            (answer, golds[sid]) for sid, answer in distinct
+        )
+
     def test_streamed_lines_equal_kept_traces(self, small_run):
         suite, engine = small_run
         configs = [
