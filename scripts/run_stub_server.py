@@ -61,11 +61,14 @@ def main() -> None:
             except BackendError as exc:  # a well-formed step the backend cannot produce
                 status, reply = 422, {"error": str(exc)}
             body = json.dumps(reply).encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            try:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            except ConnectionError:  # the client hung up before the reply
+                self.close_connection = True
 
         def log_message(self, fmt, *args):
             pass

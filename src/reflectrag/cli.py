@@ -96,44 +96,12 @@ class RunConfig:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
-def _string(value):
-    if not isinstance(value, str):
-        raise TypeError("expected a string")
-    return value
-
-
-def _backend_from_dict(obj: dict) -> BackendSpec:
-    return dataclass_from_dict(
-        BackendSpec,
-        obj,
-        {
-            "script_path": _string,
-            "endpoint": _string,
-            "timeout": float,
-            "max_retries": int,
-        },
-    )
-
-
 def load_run_config(path: str | Path | None) -> RunConfig:
     """Read a JSON run config; the top-level ``seed`` is the pipeline's seed."""
     if path is None:
         return RunConfig()
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    config = dataclass_from_dict(
-        RunConfig,
-        obj,
-        {
-            "kb_path": _string,
-            "index_path": _string,
-            "dataset_path": _string,
-            "backend": _backend_from_dict,
-            "pipeline": PipelineConfig.from_dict,
-            "seed": int,
-            "jobs": int,
-            "output_dir": _string,
-        },
-    )
+    config = dataclass_from_dict(RunConfig, obj)
     config.pipeline = dataclasses.replace(config.pipeline, seed=config.seed)
     return config
 
@@ -231,6 +199,17 @@ def _out_dir(config: RunConfig) -> Path:
     path = Path(config.output_dir)
     path.mkdir(parents=True, exist_ok=True)
     return path
+
+
+def _write_failures(out_dir: Path, failures: list[tuple[str, str]]) -> int:
+    """The exit code of a batch; when samples failed, it also writes their
+    ``failures.json`` manifest."""
+    if not failures:
+        return EXIT_OK
+    manifest = {"failures": [{"sample": s, "error": e} for s, e in failures]}
+    atomic_write_text(out_dir / "failures.json", json.dumps(manifest, indent=2) + "\n")
+    print(f"{len(failures)} sample(s) failed; see failures.json", file=sys.stderr)
+    return EXIT_PARTIAL
 
 
 # --------------------------------------------------------------------------
@@ -340,14 +319,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         atomic_write_text(out_dir / "eval_report.csv", harness.reports_to_csv(reports))
     print(f"evaluated {len(samples)} samples over {len(variants)} variant(s)")
     print(f"report written to {out_dir / 'eval_report.json'}")
-    if failures:
-        manifest = {"failures": [{"sample": s, "error": e} for s, e in failures]}
-        atomic_write_text(
-            out_dir / "failures.json", json.dumps(manifest, indent=2) + "\n"
-        )
-        print(f"{len(failures)} sample(s) failed; see failures.json", file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+    return _write_failures(out_dir, failures)
 
 
 def cmd_mine(args: argparse.Namespace, config: RunConfig) -> int:
@@ -460,7 +432,7 @@ def cmd_token_acc(args: argparse.Namespace, config: RunConfig) -> int:
         acc = "n/a" if entry["accuracy"] is None else f"{entry['accuracy']:.3f}"
         print(f"{name}: {acc} ({entry['correct']}/{entry['total']})")
     print(f"report written to {out}")
-    return EXIT_PARTIAL if run.failures else EXIT_OK
+    return _write_failures(out.parent, run.failures)
 
 
 # --------------------------------------------------------------------------

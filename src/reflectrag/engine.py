@@ -15,7 +15,7 @@ import logging
 import random
 import threading
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
@@ -37,7 +37,7 @@ from .prompts import PromptSegment, PromptStage, build_prompt as build_prompt_se
 from .samples import QuerySample
 from .similarity import TextSimilarityScorer
 from .tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
-from .util import atomic_write_bytes, dataclass_from_dict, json_line
+from .util import atomic_write_bytes, dataclass_from_dict, dataclass_to_dict, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -70,19 +70,6 @@ class RerankStrategy(str, Enum):
     EXTERNAL = "external"  # dedicated reranker service reorders candidates
 
 
-def _fields_to_dict(config) -> dict:
-    """A config dataclass as plain JSON values, in field order."""
-    out = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, Enum):
-            value = value.value
-        elif isinstance(value, RerankConfig):
-            value = value.to_dict()
-        out[f.name] = value
-    return out
-
-
 @dataclass(frozen=True)
 class RerankConfig:
     strategy: RerankStrategy
@@ -91,15 +78,6 @@ class RerankConfig:
     def __post_init__(self):
         if self.top_passages < 1:
             raise ConfigurationError("rerank top_passages must be >= 1")
-
-    def to_dict(self) -> dict:
-        return _fields_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> RerankConfig:
-        return dataclass_from_dict(
-            cls, obj, {"strategy": RerankStrategy, "top_passages": int}
-        )
 
 
 @dataclass(frozen=True)
@@ -131,7 +109,7 @@ class PipelineConfig:
             raise ConfigurationError("external_scorer_top must be >= 1")
 
     def to_dict(self) -> dict:
-        return _fields_to_dict(self)
+        return dataclass_to_dict(self)
 
     @cached_property
     def _trace_dict(self) -> dict:
@@ -142,20 +120,7 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> PipelineConfig:
         """Inverse of :meth:`to_dict`; missing keys take the defaults."""
-        return dataclass_from_dict(
-            cls,
-            obj,
-            {
-                "top_k_docs": int,
-                "rerank": RerankConfig.from_dict,
-                "selection": SelectionMode,
-                "random_passages_per_doc": int,
-                "external_scorer_top": int,
-                "max_relevant": int,
-                "force_decision": ForcedDecision,
-                "seed": int,
-            },
-        )
+        return dataclass_from_dict(cls, obj)
 
 
 @dataclass(frozen=True)

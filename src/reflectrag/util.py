@@ -1,5 +1,6 @@
 """Shared helpers: compact JSON lines, atomic file writes (one-shot and
-streamed), config dataclasses from JSON objects."""
+streamed), and config dataclasses to and from JSON objects, typed by their
+field annotations."""
 from __future__ import annotations
 
 import contextlib
@@ -7,8 +8,10 @@ import dataclasses
 import json
 import os
 import tempfile
+import typing
+from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, TypeVar
+from typing import IO, Any, Iterator, TypeVar
 
 T = TypeVar("T")
 
@@ -51,26 +54,46 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def dataclass_from_dict(cls: type[T], obj: dict, parsers: dict[str, Callable]) -> T:
-    """Build dataclass ``cls`` from the JSON object ``obj``.
+def dataclass_from_dict(cls: type[T], obj: Any) -> T:
+    """Build dataclass ``cls`` from the JSON object ``obj``, parsing each
+    value by its field's annotation.
 
-    Missing keys take the field defaults and unknown keys are ignored. A
-    value goes through ``parsers[name]`` when there is one, except ``None``
-    for a field whose default is ``None``. A value a parser rejects raises
-    ``ValueError`` naming the field.
+    A nested dataclass is read recursively, a ``str`` field takes only a
+    string, and any other type (``int``, ``float``, an enum) is called on
+    the value. ``X | None`` keeps ``None`` when the field's default is
+    ``None``. Missing keys take the defaults and unknown keys are ignored.
+    A value that does not parse raises ``ValueError`` naming
+    ``Class.field``.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"{cls.__name__}: expected a JSON object, got {obj!r}")
+    hints = typing.get_type_hints(cls)
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in obj:
             continue
         value = obj[f.name]
-        parse = parsers.get(f.name)
-        if parse is not None and not (value is None and f.default is None):
-            try:
-                value = parse(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{cls.__name__}.{f.name}: bad value {value!r}: {exc}") from exc
+        if value is None and f.default is None:
+            kwargs[f.name] = None
+            continue
+        kind = hints[f.name]
+        kind = next((t for t in typing.get_args(kind) if t is not type(None)), kind)
+        try:
+            if dataclasses.is_dataclass(kind):
+                value = dataclass_from_dict(kind, value)
+            elif kind is str and not isinstance(value, str):
+                raise TypeError("expected a string")
+            else:
+                value = kind(value)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{cls.__name__}.{f.name}: bad value {value!r}: {exc}") from exc
         kwargs[f.name] = value
     return cls(**kwargs)
+
+
+def dataclass_to_dict(obj: Any) -> dict:
+    """:func:`dataclasses.asdict` with enum members written as their values;
+    the inverse of :func:`dataclass_from_dict`."""
+    return dataclasses.asdict(
+        obj, dict_factory=lambda items: {k: v.value if isinstance(v, Enum) else v for k, v in items}
+    )

@@ -17,14 +17,17 @@ class StubServer:
     ``body`` is sent as JSON, or verbatim when it is ``bytes``. With
     ``keep_alive`` the stub speaks HTTP/1.1 and keeps connections open
     between requests; otherwise each response closes its connection.
-    ``connections`` counts the connections accepted. Use as a context
-    manager; ``endpoint`` is the base URL.
+    ``connections`` counts the connections accepted. A handler that raises
+    gets HTTP 500, and its exception goes to ``errors`` and fails the
+    ``with`` block on exit. Use as a context manager; ``endpoint`` is the
+    base URL.
     """
 
     def __init__(self, handler: Handler, keep_alive: bool = False):
         self.handler = handler
         self.requests: list[tuple[str, dict]] = []
         self.connections = 0
+        self.errors: list[Exception] = []
         self._open: set[socket.socket] = set()
         self._lock = threading.Lock()
         outer = self
@@ -47,16 +50,23 @@ class StubServer:
                 super().finish()
 
             def do_POST(self):  # noqa: N802 (http.server API)
-                length = int(self.headers.get("Content-Length", 0))
-                payload = json.loads(self.rfile.read(length) or b"{}")
-                outer.requests.append((self.path, payload))
-                status, body = outer.handler(self.path, payload)
+                try:
+                    length = int(self.headers.get("Content-Length", 0))
+                    payload = json.loads(self.rfile.read(length) or b"{}")
+                    outer.requests.append((self.path, payload))
+                    status, body = outer.handler(self.path, payload)
+                except Exception as exc:  # noqa: BLE001 - __exit__ fails the test
+                    outer.errors.append(exc)
+                    status, body = 500, {"error": repr(exc)}
                 data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                self.end_headers()
-                self.wfile.write(data)
+                try:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
+                    self.wfile.write(data)
+                except ConnectionError:  # the client hung up, e.g. on a timeout
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
@@ -89,3 +99,5 @@ class StubServer:
         self._server.shutdown()
         self._server.server_close()
         self.drop_connections()
+        if self.errors and exc[0] is None:
+            raise AssertionError(f"stub handler raised: {self.errors!r}")

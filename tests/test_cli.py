@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import socket
@@ -9,7 +10,15 @@ import pytest
 
 from reflectrag._http import RemoteServiceError, ServiceClient, TransportError, _read_response
 from reflectrag.backend import BackendError, RemoteBackend, serve_generate
-from reflectrag.cli import _build_engine, build_parser, load_run_config, main
+from reflectrag.cli import (
+    BackendSpec,
+    RunConfig,
+    _build_engine,
+    build_parser,
+    load_run_config,
+    main,
+)
+from reflectrag.engine import PipelineConfig, RerankConfig
 from reflectrag.kb import Passage
 from reflectrag.prompts import PromptSegment, PromptStage, SegmentKind, build_prompt
 from reflectrag.samples import load_samples
@@ -305,17 +314,58 @@ class TestSweepAndTokenAcc:
         assert report["classes"]["ret"]["accuracy"] == 1.0
         assert report["classes"]["noret"]["accuracy"] == 1.0
 
+    def test_token_acc_failed_sample_writes_failure_manifest(self, synthetic_files, tmp_path):
+        from reflectrag.samples import sample_to_dict
+
+        records = [sample_to_dict(s) for s in load_samples(synthetic_files.dataset)]
+        records[0]["image_embedding"] = records[0]["image_embedding"][:3]
+        dataset = tmp_path / "broken.jsonl"
+        dataset.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        expectations = tmp_path / "expectations.jsonl"
+        expectations.write_text("".join(
+            line + "\n" for line in synthetic_files.expectations.read_text().splitlines()
+            if json.loads(line)["id"] != records[0]["id"]
+        ))
+        out = tmp_path / "tok"
+        code = run([
+            "token-acc", "--kb", synthetic_files.kb, "--index", synthetic_files.index,
+            "--dataset", dataset, "--expectations", expectations,
+            "--backend", "rule", "--out", out,
+        ])
+        assert code == 3
+        [failure] = json.loads((out / "failures.json").read_text())["failures"]
+        assert failure["sample"] == records[0]["id"]
+        assert failure["error"].startswith("ValueError: query dim (3,) does not match")
+        report = json.loads((out / "token_accuracy.json").read_text())
+        assert report["classes"]["ret"]["total"] == 9
+
 
 class TestEndpointEnvOverride:
-    def test_env_var_overrides_endpoint(self, monkeypatch, synthetic_files, tmp_path, capsys):
+    def test_env_var_overrides_endpoint(self, monkeypatch, synthetic_files, tmp_path):
+        files = synthetic_files
+        corpus = (files.kb, files.index, None)
+        rule = RuleBackend.from_samples(load_samples(files.dataset))
+        with StubServer(lambda path, payload: (200, serve_generate(rule, payload)),
+                        keep_alive=True) as server:
+            monkeypatch.setenv("REFLECTIVA_ENDPOINT", server.endpoint)
+            code = run(eval_args(corpus, files.dataset, tmp_path / "env", "--backend", "remote",
+                                 "--endpoint", "http://127.0.0.1:1"))
+        assert code == 0
+        assert len(server.requests) == trace_steps(tmp_path / "env" / "traces_full.jsonl")
+        assert run(eval_args(corpus, files.dataset, tmp_path / "rule")) == 0
+        for name in ("eval_report.json", "traces_full.jsonl"):
+            assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+    def test_dead_env_endpoint_exits_2(self, monkeypatch, synthetic_files, tmp_path, capsys):
         monkeypatch.setenv("REFLECTIVA_ENDPOINT", "http://127.0.0.1:1")
-        code = run([
-            "eval", "--kb", synthetic_files.kb, "--index", synthetic_files.index,
-            "--dataset", synthetic_files.dataset, "--backend", "remote",
-            "--out", tmp_path / "env",
-        ])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"backend": {"max_retries": 1}}))
+        code = run(eval_args((synthetic_files.kb, synthetic_files.index, None),
+                             synthetic_files.dataset, tmp_path / "env",
+                             "--backend", "remote", "--config", config))
         # unreachable endpoint: every sample fails -> hard error surfaced
         assert code == 2
+        assert "every sample failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "endpoint", ["http://127.0.0.1:18p06", "ftp://127.0.0.1:8008"],
@@ -333,6 +383,43 @@ class TestEndpointEnvOverride:
                    if line.startswith("error:")]
         assert error.startswith(f"error: unsupported URL {endpoint!r}")
         assert not out.exists()
+
+
+# One value of the wrong JSON type for every field of the run config's
+# dataclasses, and where in the config file each class's fields go.
+WRONG_TYPES = [
+    ("RunConfig", "kb_path", 5),
+    ("RunConfig", "index_path", 1.5),
+    ("RunConfig", "dataset_path", ["d.jsonl"]),
+    ("RunConfig", "backend", "rule"),
+    ("RunConfig", "pipeline", []),
+    ("RunConfig", "seed", {}),
+    ("RunConfig", "jobs", [2]),
+    ("RunConfig", "output_dir", None),
+    ("BackendSpec", "kind", 5),
+    ("BackendSpec", "script_path", 3),
+    ("BackendSpec", "endpoint", 8008),
+    ("BackendSpec", "timeout", []),
+    ("BackendSpec", "max_retries", {}),
+    ("PipelineConfig", "top_k_docs", None),
+    ("PipelineConfig", "rerank", "builtin"),
+    ("PipelineConfig", "selection", 1),
+    ("PipelineConfig", "random_passages_per_doc", [2]),
+    ("PipelineConfig", "external_scorer_top", {}),
+    ("PipelineConfig", "max_relevant", [2]),
+    ("PipelineConfig", "force_decision", True),
+    ("PipelineConfig", "seed", None),
+    ("RerankConfig", "strategy", 1),
+    ("RerankConfig", "top_passages", []),
+]
+CONFIG_BLOCKS = {
+    "RunConfig": lambda block: block,
+    "BackendSpec": lambda block: {"backend": block},
+    "PipelineConfig": lambda block: {"pipeline": block},
+    "RerankConfig": lambda block: {
+        "pipeline": {"rerank": {"strategy": "builtin", "top_passages": 1, **block}}
+    },
+}
 
 
 class TestConfigPrecedence:
@@ -409,6 +496,20 @@ class TestConfigPrecedence:
                   if line.startswith("error:")]
         assert len(errors) == 1 and field in errors[0]
         assert "expected a string" in errors[0]
+
+    @pytest.mark.parametrize("cls, field, value", WRONG_TYPES, ids=lambda v: str(v))
+    def test_wrong_json_type_names_the_field(self, cls, field, value, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(CONFIG_BLOCKS[cls]({field: value})))
+        with pytest.raises(ValueError, match=rf"\b{cls}\.{field}: bad value"):
+            load_run_config(config_path)
+
+    def test_wrong_type_cases_cover_every_config_field(self):
+        assert sorted((cls, field) for cls, field, _ in WRONG_TYPES) == sorted(
+            (cls.__name__, f.name)
+            for cls in (RunConfig, BackendSpec, PipelineConfig, RerankConfig)
+            for f in dataclasses.fields(cls)
+        )
 
     @pytest.mark.parametrize("pipeline", [
         {"random_passages_per_doc": 0, "selection": "random_per_doc"},

@@ -88,3 +88,14 @@ def test_post_json_client_error_is_not_retried():
         with pytest.raises(RemoteServiceError, match="404"):
             ServiceClient(server.endpoint, timeout=5, max_retries=3).post("/v1/embed", {})
     assert calls["n"] == 1
+
+
+def test_stub_answers_a_raising_handler_with_500_and_fails_its_block():
+    def broken(path, payload):
+        raise KeyError("no such route")
+
+    with pytest.raises(AssertionError, match="KeyError"):
+        with StubServer(broken) as server:
+            with pytest.raises(_http.TransportError, match="HTTP 500"):
+                client(server).post("/v1/embed", {})
+    assert len(server.errors) == 1
