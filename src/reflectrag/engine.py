@@ -375,14 +375,15 @@ class _HitTable:
     """Hits of a fixed set of samples, searched together per k on first use.
 
     The first lookup at a given k runs one :func:`search_batch` over every
-    sample under a lock, so concurrent workers wait for that one burst
-    instead of each calling BLAS per sample. Configs that retrieve the same
-    k share its burst.
+    sample under a lock, on ``workers`` threads, so concurrent workers share
+    that one burst instead of each calling BLAS per sample. Configs that
+    retrieve the same k share its burst.
     """
 
-    def __init__(self, index: DenseIndex, samples: Sequence[QuerySample]):
+    def __init__(self, index: DenseIndex, samples: Sequence[QuerySample], workers: int):
         self._index = index
         self._samples = samples
+        self._workers = workers
         self._lock = threading.Lock()
         self._hits: dict[int, dict[QuerySample, list[RetrievalHit]]] = {}
 
@@ -391,9 +392,9 @@ class _HitTable:
             hits = self._hits.get(k)
             if hits is None:
                 vectors = [s.image_embedding for s in self._samples]
-                hits = self._hits[k] = dict(
-                    zip(self._samples, search_batch(self._index, vectors, k))
-                )
+                hits = self._hits[k] = dict(zip(
+                    self._samples, search_batch(self._index, vectors, k, self._workers)
+                ))
         return hits.get(sample)
 
 
@@ -416,9 +417,12 @@ class ReflectiveEngine:
         self._hit_table: _HitTable | None = None
         self._memo: dict | None = None
 
-    def with_batched_search(self, samples: Sequence[QuerySample]) -> ReflectiveEngine:
+    def with_batched_search(
+        self, samples: Sequence[QuerySample], jobs: int = 1
+    ) -> ReflectiveEngine:
         """A copy that searches every sample of ``samples`` that can retrieve
-        in one batch per k, when the first of them retrieves at that k.
+        in one batch per k, when the first of them retrieves at that k. The
+        batch is shared among ``jobs`` threads.
 
         A sample can retrieve when the index and KB are loaded and its
         embedding has the index's dimension. Other samples still search one
@@ -434,7 +438,7 @@ class ReflectiveEngine:
         if not ready:
             return self
         engine = copy.copy(self)
-        engine._hit_table = _HitTable(self.index, ready)
+        engine._hit_table = _HitTable(self.index, ready, jobs)
         return engine
 
     def with_step_memo(self) -> ReflectiveEngine:
@@ -446,6 +450,8 @@ class ReflectiveEngine:
         It is keyed on what a step depends on beyond the sample: nothing for
         the decision, ``passage.key`` for a judgment, and for the answer the
         selected passage keys in order, or ``None`` when it answers directly.
+        It also keeps the sample's hits and candidates per ``top_k_docs``, as
+        tuples, so configs that retrieve the same k share them.
         These keys suffice because a prompt depends only on (stage, question,
         image_ref, passage texts), and within one knowledge base a passage key
         maps to one text. They leave the sample out, so a copy must run one
@@ -462,7 +468,7 @@ class ReflectiveEngine:
 
     def _retrieve(
         self, sample: QuerySample, config: PipelineConfig
-    ) -> tuple[list[RetrievalHit], list[Passage]]:
+    ) -> tuple[tuple[RetrievalHit, ...], tuple[Passage, ...]]:
         if self.index is None or self.kb is None:
             raise ConfigurationError(
                 "retrieval decided but no index/knowledge base is configured"
@@ -471,19 +477,24 @@ class ReflectiveEngine:
             raise ConfigurationError(
                 f"sample {sample.id!r} has no image embedding to query with"
             )
+        key = ("retrieve", config.top_k_docs)
+        if self._memo is not None and key in self._memo:
+            return self._memo[key]
         hits = None
         if self._hit_table is not None:
             hits = self._hit_table.get(sample, config.top_k_docs)
         if hits is None:
             hits = search(self.index, sample.image_embedding, config.top_k_docs)
-        candidates = candidate_passages(self.kb, hits, config.top_k_docs)
-        return hits, candidates
+        found = tuple(hits), tuple(candidate_passages(self.kb, hits, config.top_k_docs))
+        if self._memo is not None:
+            self._memo[key] = found
+        return found
 
     def _select(
         self,
         sample: QuerySample,
         config: PipelineConfig,
-        candidates: list[Passage],
+        candidates: Sequence[Passage],
     ) -> tuple[list[RelevanceJudgment], list[Passage], bool, int]:
         """Returns (judgments, selected, fallback, judge_failures)."""
         if config.selection is SelectionMode.EXTERNAL_SCORER:

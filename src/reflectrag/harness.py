@@ -245,8 +245,8 @@ def evaluate_configs(
     and a deterministic backend, each task asks each step of its sample once
     (:meth:`ReflectiveEngine.with_step_memo`), and each distinct answer of a
     sample is scored once. The first sample that retrieves at a given k
-    searches the index for every sample that can, in one batch
-    (:meth:`ReflectiveEngine.with_batched_search`).
+    searches the index for every sample that can, in one batch shared among
+    the ``jobs`` workers (:meth:`ReflectiveEngine.with_batched_search`).
 
     Without ``sinks`` each run keeps its trace dicts. With them, config i's
     trace lines (JSON, newline-terminated, serialized in the worker) go to
@@ -254,7 +254,7 @@ def evaluate_configs(
     only :func:`score_fields` of each trace is held for scoring.
     """
     ordered = sorted(samples, key=lambda s: s.id)
-    engine = engine.with_batched_search(ordered)
+    engine = engine.with_batched_search(ordered, jobs)
 
     def encode(i: int, trace: dict) -> tuple[str | dict | None, dict]:
         if sinks is None:

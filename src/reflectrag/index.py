@@ -6,6 +6,11 @@ order ascending). No approximate structures; at the scales this targets,
 correctness and oracle-testability win. Queries are scored in blocks, one
 float64 matrix product per block (:func:`search_batch`); :func:`search` is
 the one-query case, so a query's scores do not depend on how it was batched.
+A large batch can be cut into runs of whole blocks scored on several
+threads, and every product runs with OpenBLAS held at one thread, so the
+threads that score are the callers' own and never oversubscribe the cores.
+OpenBLAS splits a product over its rows and columns, never over the inner
+dimension, so the thread count does not change any bits.
 
 Index file format: a JSON manifest line ``{"mode","dim","count"}`` followed
 by one ``{"doc_id"}`` line per entry; vectors live in a ``<stem>.vec``
@@ -16,9 +21,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -181,6 +188,74 @@ _BLOCK = 16
 _ROWS = 512
 
 
+#: (getter, setter) symbol names of the OpenBLAS thread count, by build:
+#: plain, 64-bit interface, and the scipy-openblas wheels numpy ships.
+_OPENBLAS_THREAD_CALLS = (
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_thread_calls() -> tuple:
+    """(get, set) of the thread count of the OpenBLAS loaded in this process,
+    or ``()`` when there is no ``/proc``, no OpenBLAS or no such symbol."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = sorted({
+                fields[5] for fields in (line.strip().split(maxsplit=5) for line in maps)
+                if len(fields) == 6 and "openblas" in fields[5].rsplit("/", 1)[-1]
+            })
+    except OSError:
+        return ()
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                setter = getattr(lib, set_)
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getattr(lib, get), setter
+    return ()
+
+
+class _OneBlasThread:
+    """Holds OpenBLAS at one thread while any caller is inside.
+
+    Counted under a lock: the first caller in saves the thread count and sets
+    1, and the last caller out restores it. Without OpenBLAS it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            calls = _openblas_thread_calls()
+            if calls and self._inside == 0:
+                self._saved = calls[0]()
+                calls[1](1)
+            self._inside += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._inside -= 1
+            calls = _openblas_thread_calls()
+            if calls and self._inside == 0:
+                calls[1](self._saved)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def _score_blocks(index: DenseIndex, queries: Sequence):
     """Yield ``(start, scores)`` per block of queries; row ``j`` of ``scores``
     scores query ``start + j`` against every entry.
@@ -204,19 +279,8 @@ def _score_blocks(index: DenseIndex, queries: Sequence):
         yield lo, scores[:m]
 
 
-def search_batch(
-    index: DenseIndex, queries: Sequence[Sequence[float]] | np.ndarray, k: int
-) -> list[list[RetrievalHit]]:
-    """Top-k entries for each query; ties break toward earlier insertion.
-
-    Each row is partitioned at its k-th best score and only the entries at or
-    above it are sorted, by (score descending, position ascending). A query's
-    hits are the same bits whichever batch it is in.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
+def _top_k(index: DenseIndex, queries: Sequence, k: int) -> list[list[RetrievalHit]]:
     n = len(index)
-    k = min(k, n)
     out = []
     for _, scores in _score_blocks(index, queries):
         for row in scores:
@@ -228,6 +292,35 @@ def search_batch(
                 for rank, i in enumerate(top, start=1)
             ])
     return out
+
+
+def search_batch(
+    index: DenseIndex,
+    queries: Sequence[Sequence[float]] | np.ndarray,
+    k: int,
+    workers: int = 1,
+) -> list[list[RetrievalHit]]:
+    """Top-k entries for each query; ties break toward earlier insertion.
+
+    Each row is partitioned at its k-th best score and only the entries at or
+    above it are sorted, by (score descending, position ascending). A query's
+    hits are the same bits whichever batch it is in. With ``workers > 1`` the
+    queries are cut into at most that many contiguous runs of whole blocks,
+    scored on as many threads and joined in order; each block is the one a
+    single worker scores, so the hits are the same bits too.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    k = min(k, len(index))
+    blocks = -(-len(queries) // _BLOCK)
+    with _one_blas_thread:
+        if min(workers, blocks) <= 1:
+            return _top_k(index, queries, k)
+        step = -(-blocks // workers) * _BLOCK
+        runs = [queries[lo : lo + step] for lo in range(0, len(queries), step)]
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            parts = pool.map(lambda run: _top_k(index, run, k), runs)
+            return [hits for part in parts for hits in part]
 
 
 def search(index: DenseIndex, query: Sequence[float] | np.ndarray, k: int) -> list[RetrievalHit]:
@@ -289,8 +382,9 @@ def _rank_in(scores: np.ndarray, pos: int) -> int:
 def gold_rank(index: DenseIndex, query: np.ndarray, gold_doc_id: str) -> int:
     """1-based rank of the gold document under search ordering."""
     pos = _gold_position(index, gold_doc_id)
-    _, scores = next(_score_blocks(index, [query]))
-    return _rank_in(scores[0], pos)
+    with _one_blas_thread:
+        _, scores = next(_score_blocks(index, [query]))
+        return _rank_in(scores[0], pos)
 
 
 def recall_at_k(
@@ -313,8 +407,9 @@ def recall_at_k(
             excluded.append(f"query {i}: {exc}")
     ranks: list[int] = []
     if known:
-        for lo, scores in _score_blocks(index, [vec for vec, _ in known]):
-            ranks.extend(_rank_in(row, known[lo + j][1]) for j, row in enumerate(scores))
+        with _one_blas_thread:
+            for lo, scores in _score_blocks(index, [vec for vec, _ in known]):
+                ranks.extend(_rank_in(row, known[lo + j][1]) for j, row in enumerate(scores))
     entries = []
     n = len(ranks)
     for k in ks:

@@ -19,8 +19,9 @@ class StubServer:
     between requests; otherwise each response closes its connection.
     ``connections`` counts the connections accepted. A handler that raises
     gets HTTP 500, and its exception goes to ``errors`` and fails the
-    ``with`` block on exit. Use as a context manager; ``endpoint`` is the
-    base URL.
+    ``with`` block on exit, which waits for every handler to return, so an
+    exception raised after the client gave up still counts. Use as a context
+    manager; ``endpoint`` is the base URL.
     """
 
     def __init__(self, handler: Handler, keep_alive: bool = False):
@@ -29,6 +30,7 @@ class StubServer:
         self.connections = 0
         self.errors: list[Exception] = []
         self._open: set[socket.socket] = set()
+        self._closing = False
         self._lock = threading.Lock()
         outer = self
 
@@ -43,6 +45,9 @@ class StubServer:
                 with outer._lock:
                     outer.connections += 1
                     outer._open.add(self.connection)
+                    if outer._closing:  # accepted before shutdown, set up after
+                        with contextlib.suppress(OSError):
+                            self.connection.shutdown(socket.SHUT_RDWR)
 
             def finish(self):
                 with outer._lock:
@@ -72,6 +77,8 @@ class StubServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), _RequestHandler)
+        # server_close() joins the handler threads (block_on_close).
+        self._server.daemon_threads = False
         # shutdown() waits for serve_forever to poll; the default 0.5 s poll
         # would cost every test that starts a server half a second.
         self._thread = threading.Thread(
@@ -97,7 +104,9 @@ class StubServer:
 
     def __exit__(self, *exc) -> None:
         self._server.shutdown()
+        with self._lock:
+            self._closing = True
+        self.drop_connections()  # idle keep-alive handlers return on EOF
         self._server.server_close()
-        self.drop_connections()
         if self.errors and exc[0] is None:
             raise AssertionError(f"stub handler raised: {self.errors!r}")

@@ -107,8 +107,8 @@ class TestIndexCommand:
 def test_remote_reranker_and_embedder_use_configured_timeout_and_retries(
     plant_kb_path, tmp_path, capsys
 ):
-    def slow(path, payload):
-        time.sleep(1.0)
+    def slow(path, payload):  # the stub's exit waits for it to return
+        time.sleep(0.5)
         return 200, {"embeddings": [[1.0, 0.0, 0.0, 0.0]], "order": [0]}
 
     with StubServer(slow) as server:
@@ -561,6 +561,30 @@ class TestBatchedSearch:
             assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j4" / name).read_bytes()
         retrieving = [t for t in read_traces(tmp_path / "j1" / "traces_full.jsonl") if t["hits"]]
         assert len(retrieving) > 32
+
+    def test_burst_split_among_jobs_writes_the_bytes_of_one_worker(
+        self, block_corpus, tmp_path, monkeypatch
+    ):
+        import reflectrag.index as index_mod
+
+        runs = []
+        real = index_mod._top_k
+
+        def recording(index, queries, k):
+            runs.append(len(queries))
+            return real(index, queries, k)
+
+        monkeypatch.setattr(index_mod, "_top_k", recording)
+        for jobs in (1, 3):
+            code = run(eval_args(block_corpus, block_corpus[2], tmp_path / f"j{jobs}",
+                                 "--jobs", jobs, "--variants", FIVE_VARIANTS))
+            assert code == 0
+        # --jobs 3 scores whole 16-query blocks on separate threads
+        assert len(runs) == 3 and runs[1:] == [32, runs[0] - 32] and runs[0] > 48
+        names = sorted(p.name for p in (tmp_path / "j1").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "j3").iterdir())
+        for name in names:
+            assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j3" / name).read_bytes()
 
     def test_answer_hits_equal_eval_hits(self, block_corpus, tmp_path):
         kb, index, dataset = block_corpus

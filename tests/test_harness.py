@@ -67,12 +67,13 @@ class TestEvaluate:
         import reflectrag.engine as engine_mod
 
         suite, engine = small_run
-        batches = []
+        batches, workers = [], []
         real = engine_mod.search_batch
 
-        def counting(index, queries, k):
+        def counting(index, queries, k, jobs=1):
             batches.append(len(queries))
-            return real(index, queries, k)
+            workers.append(jobs)
+            return real(index, queries, k, jobs)
 
         def per_sample(*args):
             pytest.fail("a worker searched one sample on its own")
@@ -93,6 +94,7 @@ class TestEvaluate:
         assert not run.failures
         assert run.traces == serial.traces
         assert batches == [len(suite.samples)] * 2
+        assert workers == [1, 12]  # the burst is shared among the --jobs workers
         no_kb = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
         assert not evaluate_dataset(engine, suite.samples, no_kb, jobs=4).failures
         assert batches == [len(suite.samples)] * 2

@@ -1,6 +1,10 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+import reflectrag.index as index_mod
 from reflectrag.index import (
     DenseIndex,
     EmbedderError,
@@ -165,6 +169,110 @@ class TestSearchBatch:
             search_batch(index, [[1.0, 0.0], [1.0, 0.0, 0.0]], 1)
         with pytest.raises(ValueError, match=r"query dim \(1,\) does not match index dim 2"):
             search(index, [1.0], 1)
+
+
+class TestSplitBurst:
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_workers_match_one_worker_bit_for_bit(self, workers):
+        rng = np.random.default_rng(13)
+        index = make_index(rng.standard_normal((300, 16)).tolist())
+        queries = unit_queries(rng, 257, 16)
+        for n in [*range(1, 41), 257]:
+            expected = search_batch(index, queries[:n], 9)
+            assert search_batch(index, queries[:n], 9, workers) == expected, n
+
+    def test_runs_are_whole_blocks_in_order(self, monkeypatch):
+        runs = []
+        real = index_mod._top_k
+
+        def recording(index, queries, k):
+            runs.append(len(queries))
+            return real(index, queries, k)
+
+        monkeypatch.setattr(index_mod, "_top_k", recording)
+        rng = np.random.default_rng(15)
+        index = make_index(rng.standard_normal((50, 8)).tolist())
+        search_batch(index, unit_queries(rng, 70, 8), 3, workers=3)
+        search_batch(index, unit_queries(rng, 16, 8), 3, workers=3)
+        assert runs == [32, 32, 6, 16]
+
+
+def blas_thread_calls():
+    calls = index_mod._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS thread-count setter in this process")
+    return calls
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to two threads for the test; yields its getter."""
+    get, set_ = blas_thread_calls()
+    saved = get()
+    set_(2)
+    yield get
+    set_(saved)
+
+
+def spy_blas_threads(monkeypatch, get, meet=None) -> list[int]:
+    """Record the OpenBLAS thread count each time queries are scored."""
+    seen: list[int] = []
+    real = index_mod._score_blocks
+
+    def scoring(*args):
+        if meet is not None:
+            meet()
+        seen.append(get())
+        return real(*args)
+
+    monkeypatch.setattr(index_mod, "_score_blocks", scoring)
+    return seen
+
+
+class TestOneBlasThread:
+    def test_scores_equal_those_computed_without_the_limiter(self, two_blas_threads, monkeypatch):
+        rng = np.random.default_rng(16)
+        # (512 x 64) . (64 x 16) products: large enough for OpenBLAS to thread
+        index = make_index(rng.standard_normal((600, 64)).tolist())
+        queries = unit_queries(rng, 16, 64)
+        limited = search_batch(index, queries, len(index))
+        monkeypatch.setattr(index_mod, "_openblas_thread_calls", lambda: ())
+        seen = spy_blas_threads(monkeypatch, two_blas_threads)
+        assert search_batch(index, queries, len(index)) == limited
+        assert seen == [2]
+
+    def test_one_thread_inside_and_restored_after(self, two_blas_threads, monkeypatch):
+        seen = spy_blas_threads(monkeypatch, two_blas_threads)
+        index = make_index([[1, 0], [0, 1], [1, 1]], ["a", "b", "c"])
+        search(index, [1.0, 0.0], 2)
+        search_batch(index, [[1.0, 0.0]] * 40, 2, workers=2)
+        gold_rank(index, np.array([0.0, 1.0]), "c")
+        recall_at_k(index, [([1.0, 0.0], "a")], [1])
+        assert seen == [1, 1, 1, 1, 1]
+        assert two_blas_threads() == 2
+
+    def test_restored_after_a_call_that_raises(self, two_blas_threads):
+        index = make_index([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="query dim"):
+            search_batch(index, [[1.0, 0.0], [1.0, 0.0, 0.0]], 1)
+        with pytest.raises(ValueError, match="query dim"):
+            search_batch(index, [[1.0, 0.0]] * 20 + [[1.0]], 1, workers=2)
+        assert two_blas_threads() == 2
+
+    def test_restored_after_two_threads_search_at_once(self, two_blas_threads, monkeypatch):
+        rng = np.random.default_rng(17)
+        index = make_index(rng.standard_normal((600, 64)).tolist())
+        queries = unit_queries(rng, 10, 64)
+        expected = search_batch(index, queries, 4)
+        both_inside = threading.Barrier(2)
+        seen = spy_blas_threads(
+            monkeypatch, two_blas_threads, meet=lambda: both_inside.wait(timeout=10)
+        )
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            found = list(pool.map(lambda q: search_batch(index, q, 4), [queries[:5], queries[5:]]))
+        assert found[0] + found[1] == expected
+        assert seen == [1, 1]
+        assert two_blas_threads() == 2
 
 
 class TestBuildIndex:

@@ -1,5 +1,7 @@
 """Wire-format tests for the auxiliary remote adapters (embedder, reranker)
 and the shared ServiceClient against an in-process stub."""
+import time
+
 import numpy as np
 import pytest
 
@@ -98,4 +100,16 @@ def test_stub_answers_a_raising_handler_with_500_and_fails_its_block():
         with StubServer(broken) as server:
             with pytest.raises(_http.TransportError, match="HTTP 500"):
                 client(server).post("/v1/embed", {})
+    assert len(server.errors) == 1
+
+
+def test_stub_fails_its_block_on_a_handler_that_raises_after_the_client_left():
+    def late(path, payload):
+        time.sleep(0.3)
+        raise KeyError("raised after the client timed out")
+
+    with pytest.raises(AssertionError, match="after the client timed out"):
+        with StubServer(late) as server:
+            with pytest.raises(_http.TransportError):
+                ServiceClient(server.endpoint, timeout=0.1, max_retries=1).post("/v1/embed", {})
     assert len(server.errors) == 1
