@@ -4,8 +4,10 @@ A :class:`ServiceClient` holds one service's endpoint, timeout and retry
 policy; the remote backend, reranker and embedder send through one.
 
 Calls reuse keep-alive connections from one process-wide pool per
-(scheme, host, port), so a run opens about as many TCP connections as it
-has concurrent requests, not one per request. Proxy settings
+(scheme, host, port). The pool keeps every connection given back to it, and
+a connection is opened only when none is idle, so a run holds as many TCP
+connections as it once had in use at the same time (``--jobs`` times
+:data:`LANES` for ``eval``), not one per request. Proxy settings
 (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and the CA bundle
 (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) are read from the environment
 once per (scheme, host, port).
@@ -30,10 +32,12 @@ closed while it sat idle is replaced at once, without counting as an
 attempt.
 
 :meth:`ServiceClient.post_all` pipelines independent requests (RFC 9112
-§9.3.2): it writes up to :data:`MAX_PIPELINE` of them on one connection
-before reading their replies, so a server must answer the requests of a
-connection in the order they arrived, as every HTTP/1.1 server does. A
-server that closes the connection after a reply, HTTP/1.0 servers
+§9.3.2). It deals them over up to :data:`LANES` connections in contiguous
+lanes, and writes up to :data:`MAX_PIPELINE` requests of every lane before
+reading any reply. A server must answer the requests of a connection in the
+order they arrived, as every HTTP/1.1 server does; one that serves each
+connection on its own thread, as most do, then works on the lanes at once.
+A server that closes the connection after a reply, HTTP/1.0 servers
 included, gets the unanswered rest again one request at a time.
 """
 from __future__ import annotations
@@ -49,17 +53,20 @@ import ssl
 import threading
 import time
 import urllib.request
+from dataclasses import dataclass
 from typing import BinaryIO, Sequence
 from urllib.parse import unquote, urlsplit
 
 logger = logging.getLogger(__name__)
 
-# Idle connections kept per origin. More concurrent callers still work; the
-# surplus connections are closed when they are returned.
-MAX_IDLE_PER_ORIGIN = 16
 # Pipelined requests written before their replies are read, so the client
 # never blocks on a write while the server blocks on replies nobody reads.
 MAX_PIPELINE = 32
+# Connections one ServiceClient.post_all deals its requests over. A server
+# answers one connection's requests one at a time, so each lane is served
+# beside the others; against the bench's stub, eight lanes gave no more
+# throughput than four.
+LANES = 4
 # Longest status, header or chunk-size line, and most headers, in a response.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
@@ -158,10 +165,7 @@ class _Origin:
 
     def _release(self, sock: socket.socket, rfile: BinaryIO) -> None:
         with self._lock:
-            if len(self._idle) < MAX_IDLE_PER_ORIGIN:
-                self._idle.append((sock, rfile))
-                return
-        _close(sock, rfile)
+            self._idle.append((sock, rfile))
 
     def post(self, target: str, body: bytes, timeout: float) -> tuple[int, bytes]:
         """One request/response exchange; returns (status, response body)."""
@@ -177,18 +181,75 @@ class _Origin:
         body) per request, in order. A reply that closes the connection, or a
         broken one, ends the exchange: each request from there on gets the
         exception that left it unanswered."""
+        try:
+            lane = self.start(target, bodies, timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            return [exc] * len(bodies)
+        return self.finish(lane, timeout)
+
+    def post_lanes(
+        self, target: str, bodies: Sequence[bytes], timeout: float
+    ) -> list[tuple[int, bytes] | Exception]:
+        """:meth:`post_all` dealt over up to :data:`LANES` connections: the
+        bodies are cut into contiguous lanes whose sizes differ by at most
+        one, every lane is started before any is finished, and the replies
+        are joined in order. A lane that cannot connect, or whose reply
+        times out, ends the exchange: the lanes not yet started or read get
+        its error, so a dead or stalled server costs what one pipeline does."""
+        if not bodies:
+            return []
+        count = min(LANES, len(bodies))
+        cuts = [len(bodies) * i // count for i in range(count + 1)]
+        lanes: list[_Lane] = []
+        replies: list[tuple[int, bytes] | Exception] = []
+        error: Exception | None = None
+        try:
+            for lo, hi in zip(cuts, cuts[1:]):
+                try:
+                    lanes.append(self.start(target, bodies[lo:hi], timeout))
+                except (OSError, http.client.HTTPException) as exc:
+                    error = exc
+                    break
+            while lanes:
+                replies += self.finish(lanes.pop(0), timeout)
+                if isinstance(replies[-1], TimeoutError):
+                    error = replies[-1]
+                    break
+        finally:
+            for lane in lanes:  # a lane the exchange ended, or left on an interrupt
+                _close(lane.sock, lane.rfile)
+        return replies + [error] * (len(bodies) - len(replies))
+
+    def start(self, target: str, bodies: Sequence[bytes], timeout: float) -> _Lane:
+        """Borrows a connection and writes the first :data:`MAX_PIPELINE`
+        requests on it; raises when no connection can be had. The replies
+        are read by :meth:`finish`."""
         prefix = target.encode("ascii")
         requests = [b"POST %s%s%d\r\n\r\n%s" % (prefix, self._head, len(b), b) for b in bodies]
+        lane = _Lane(requests, *self._borrow(timeout))
+        try:
+            lane.sock.sendall(b"".join(requests[:MAX_PIPELINE]))
+        except OSError as exc:
+            lane.error = exc  # finish meets it where it meets a failed read
+        except BaseException:
+            _close(lane.sock, lane.rfile)
+            raise
+        return lane
+
+    def finish(self, lane: _Lane, timeout: float) -> list[tuple[int, bytes] | Exception]:
+        """Reads the replies of a started lane, writing its later windows,
+        and gives its connection back; returns what :meth:`post_all` does."""
+        requests, sock, rfile = lane.requests, lane.sock, lane.rfile
         replies: list[tuple[int, bytes] | Exception] = []
         try:
-            sock, rfile, reused = self._borrow(timeout)
-        except (OSError, http.client.HTTPException) as exc:
-            return [exc] * len(requests)
-        try:
             try:
-                keep_alive = _pipeline(sock, rfile, requests, replies)
+                if lane.error is not None:
+                    raise lane.error
+                keep_alive = _pipeline(
+                    sock, rfile, requests, replies, sent=min(len(requests), MAX_PIPELINE)
+                )
             except ConnectionError:
-                if not reused or replies:
+                if not lane.reused or replies:
                     raise
                 # The server closed this connection while it was idle.
                 _close(sock, rfile)
@@ -208,20 +269,36 @@ class _Origin:
         return replies + [unanswered] * (len(requests) - len(replies))
 
 
+@dataclass
+class _Lane:
+    """A pipeline whose first window is written on its borrowed connection,
+    or whose write raised ``error``."""
+
+    requests: list[bytes]
+    sock: socket.socket
+    rfile: BinaryIO
+    reused: bool
+    error: OSError | None = None
+
+
 def _pipeline(
-    sock: socket.socket, rfile: BinaryIO, requests: list[bytes], replies: list
+    sock: socket.socket, rfile: BinaryIO, requests: list[bytes], replies: list, sent: int = 0
 ) -> bool:
     """Sends the requests that ``replies`` does not answer yet, at most
-    :data:`MAX_PIPELINE` per write, and appends each reply; returns whether
-    the connection stays open."""
+    :data:`MAX_PIPELINE` per write, and appends each reply; the first
+    ``sent`` of them are written already. Returns whether the connection
+    stays open."""
     while len(replies) < len(requests):
-        window = requests[len(replies):len(replies) + MAX_PIPELINE]
-        sock.sendall(b"".join(window))
-        for _ in window:
+        if not sent:
+            window = requests[len(replies):len(replies) + MAX_PIPELINE]
+            sock.sendall(b"".join(window))
+            sent = len(window)
+        for _ in range(sent):
             status, data, keep_alive = _read_response(rfile)
             replies.append((status, data))
             if not keep_alive:
                 return False
+        sent = 0
     return True
 
 
@@ -383,9 +460,9 @@ class ServiceClient:
         )
 
     def post_all(self, route: str, payloads: Sequence[dict]) -> list[dict | Exception]:
-        """POST every payload to ``{endpoint}{route}`` as one pipeline on one
-        connection; returns, in order, each JSON object or the error of its
-        entry.
+        """POST every payload to ``{endpoint}{route}`` pipelined over up to
+        :data:`LANES` connections (:meth:`_Origin.post_lanes`); returns, in
+        order, each JSON object or the error of its entry.
 
         A 3xx or 4xx reply, and a 2xx body that is not a JSON object, is that
         entry's :class:`RemoteServiceError`. Unanswered and 5xx entries are
@@ -395,7 +472,7 @@ class ServiceClient:
         """
         url = self.endpoint + route
         origin, target = _route(url)
-        replies = origin.post_all(
+        replies = origin.post_lanes(
             target, [json.dumps(p, allow_nan=False).encode("utf-8") for p in payloads],
             self.timeout,
         )

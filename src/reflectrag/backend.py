@@ -24,9 +24,10 @@ the client raises it as a :class:`BackendError`, so it costs one judgment,
 not the sample. Any other 4xx is a :class:`RemoteServiceError`.
 
 A client may pipeline steps: :meth:`RemoteBackend.constrained_generate_each`
-writes a sample's relevance judgments on one keep-alive connection before
-reading any reply, so a server must answer a connection's requests in the
-order they arrived, as HTTP/1.1 requires.
+deals a sample's relevance judgments over up to four keep-alive connections
+and writes them before reading any reply, so a server must answer a
+connection's requests in the order they arrived, as HTTP/1.1 requires, and
+serves the judgments at once when it serves its connections side by side.
 """
 from __future__ import annotations
 
@@ -406,10 +407,11 @@ class RemoteBackend:
         allowed: Iterable[str] | None = None,
         max_tokens: int | None = None,
     ) -> list[GenerationResult | BackendError]:
-        """One step per prompt, pipelined on one connection; a step the
-        server could not produce, or answered malformed, is its
-        :class:`BackendError`. Any other error of a step is raised, the first
-        in prompt order."""
+        """One step per prompt, pipelined over up to :data:`_http.LANES`
+        connections (:meth:`ServiceClient.post_all`); a step the server
+        could not produce, or answered malformed, is its
+        :class:`BackendError`. Any other error of a step is raised, the
+        first in prompt order."""
         allowed_set = None if allowed is None else frozenset(allowed)
         bodies = self.client.post_all(
             "/v1/generate", [_generate_request(p, allowed_set, max_tokens) for p in prompts]

@@ -8,26 +8,32 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
-Handler = Callable[[str, dict], tuple[int, "dict | bytes"]]
+Handler = Callable[[str, dict], "tuple[int, dict | bytes] | tuple[int, dict | bytes, dict]"]
 
 
 class StubServer:
-    """Serves POST requests through a user handler: (path, payload) -> (status, body).
+    """Serves POST requests through a user handler: (path, payload) ->
+    (status, body), or (status, body, headers).
 
-    ``body`` is sent as JSON, or verbatim when it is ``bytes``. With
-    ``keep_alive`` the stub speaks HTTP/1.1 and keeps connections open
-    between requests; otherwise each response closes its connection.
-    ``connections`` counts the connections accepted. A handler that raises
-    gets HTTP 500, and its exception goes to ``errors`` and fails the
-    ``with`` block on exit, which waits for every handler to return, so an
-    exception raised after the client gave up still counts. Use as a context
-    manager; ``endpoint`` is the base URL.
+    ``body`` is sent as JSON, or verbatim when it is ``bytes``. The
+    ``headers`` dict goes out with it; ``Connection: close`` closes the
+    connection after the reply. With ``keep_alive`` the stub speaks HTTP/1.1
+    and keeps connections open between requests; otherwise each response
+    closes its connection. ``connections`` counts the connections accepted.
+    ``requests`` holds every (path, payload) in the order the stub read
+    them, and ``by_connection`` each connection's payloads in that order,
+    one list per connection. A handler that raises gets HTTP 500, and its
+    exception goes to ``errors`` and fails the ``with`` block on exit, which
+    waits for every handler to return, so an exception raised after the
+    client gave up still counts. Use as a context manager; ``endpoint`` is
+    the base URL.
     """
 
     def __init__(self, handler: Handler, keep_alive: bool = False):
         self.handler = handler
         self.requests: list[tuple[str, dict]] = []
         self.connections = 0
+        self.by_connection: list[list[dict]] = []
         self.errors: list[Exception] = []
         self._open: set[socket.socket] = set()
         self._closing = False
@@ -44,6 +50,8 @@ class StubServer:
                 self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 with outer._lock:
                     outer.connections += 1
+                    self.arrivals: list[dict] = []
+                    outer.by_connection.append(self.arrivals)
                     outer._open.add(self.connection)
                     if outer._closing:  # accepted before shutdown, set up after
                         with contextlib.suppress(OSError):
@@ -59,15 +67,18 @@ class StubServer:
                     length = int(self.headers.get("Content-Length", 0))
                     payload = json.loads(self.rfile.read(length) or b"{}")
                     outer.requests.append((self.path, payload))
-                    status, body = outer.handler(self.path, payload)
+                    self.arrivals.append(payload)
+                    status, body, *headers = outer.handler(self.path, payload)
                 except Exception as exc:  # noqa: BLE001 - __exit__ fails the test
                     outer.errors.append(exc)
-                    status, body = 500, {"error": repr(exc)}
+                    status, body, headers = 500, {"error": repr(exc)}, []
                 data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 try:
                     self.send_response(status)
                     self.send_header("Content-Type", "application/json")
                     self.send_header("Content-Length", str(len(data)))
+                    for name, value in (headers[0] if headers else {}).items():
+                        self.send_header(name, value)
                     self.end_headers()
                     self.wfile.write(data)
                 except ConnectionError:  # the client hung up, e.g. on a timeout

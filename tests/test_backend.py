@@ -402,10 +402,10 @@ class TestPipelinedJudgments:
     SAMPLE = QuerySample(id="s1", question=QUESTION, image_ref="img-1", image_embedding=None,
                          gold_answers=("Tobias Fenn",), gold_doc_id="mill", dataset="t", split="t")
 
-    def judge(self, handler, keep_alive=True):
+    def judge(self, handler, keep_alive=True, passages=PASSAGES):
         with StubServer(handler, keep_alive=keep_alive) as server:
             client = ServiceClient(server.endpoint, timeout=5, max_retries=1)
-            return judge_passages(RemoteBackend(client), self.SAMPLE, self.PASSAGES), server
+            return judge_passages(RemoteBackend(client), self.SAMPLE, passages), server
 
     def test_http10_server_gives_the_sequential_judgments_one_request_per_step(self):
         result, server = self.judge(lambda p, b: (200, serve_generate(RULE, b)), keep_alive=False)
@@ -418,10 +418,25 @@ class TestPipelinedJudgments:
             raise AssertionError("a judgment was sent on its own")
 
         monkeypatch.setattr(_http, "post_json", single_request)
-        (judgments, failures), server = self.judge(lambda p, b: (200, serve_generate(RULE, b)))
-        assert failures == 0 and len(judgments) == len(self.PASSAGES)
-        assert len(server.requests) == len(self.PASSAGES)
-        assert server.connections == 1
+        passages = self.PASSAGES + [Passage("mill", 4, "Its wheel is wooden."),
+                                    Passage("mill", 5, "Grain came by cart.")]
+        (judgments, failures), server = self.judge(
+            lambda p, b: (200, serve_generate(RULE, b)), passages=passages
+        )
+        assert failures == 0 and len(judgments) == len(passages)
+        assert len(server.requests) == len(passages)
+
+        def passage_of(request):
+            return next(i for i, p in enumerate(passages)
+                        if any(p.text in s["payload"] for s in request["segments"]))
+
+        # One pipeline per lane: each connection carried one contiguous run
+        # of the judgments, in order.
+        lanes = min(_http.LANES, len(passages))
+        cuts = [len(passages) * k // lanes for k in range(lanes + 1)]
+        assert sorted([passage_of(r) for r in c] for c in server.by_connection) == [
+            list(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])
+        ]
 
     def test_422_costs_that_judgment_alone(self):
         def handler(path, payload):

@@ -4,10 +4,13 @@ the wire format, against a raw-socket server that replays canned bytes."""
 import contextlib
 import http.client
 import io
+import itertools
+import json
 import re
 import socket
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -253,11 +256,122 @@ def numbered(i: int, head: bytes = b"") -> bytes:
 def test_pipeline_windows_share_one_connection():
     count = 2 * _http.MAX_PIPELINE + 3
     with StubServer(echo, keep_alive=True) as server:
+        origin, target = _http._route(server.endpoint + "/v1/embed")
+        replies = origin.post_all(target, [b'{"i": %d}' % i for i in range(count)], 5)
+        assert [json.loads(data)["payload"] for _, data in replies] == [{"i": i} for i in range(count)]
+        assert [p for _, p in server.requests] == [{"i": i} for i in range(count)]
+        assert server.connections == 1
+
+
+def lane_runs(count: int) -> list[list[int]]:
+    """The entries of each lane of a ``count``-entry pipeline."""
+    lanes = min(_http.LANES, count)
+    cuts = [count * k // lanes for k in range(lanes + 1)]
+    return [list(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def arrivals(server: StubServer) -> list[list[int]]:
+    """Each connection's entries in the order they arrived, connections sorted."""
+    return sorted([p["i"] for p in payloads] for payloads in server.by_connection)
+
+
+def test_lanes_carry_contiguous_runs_and_join_the_replies_in_order():
+    count = _http.LANES * _http.MAX_PIPELINE + 3
+    with StubServer(echo, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
         results = client.post_all("/v1/embed", [{"i": i} for i in range(count)])
         assert [r["payload"] for r in results] == [{"i": i} for i in range(count)]
-        assert [p for _, p in server.requests] == [{"i": i} for i in range(count)]
-        assert server.connections == 1
+        assert arrivals(server) == lane_runs(count)
+        assert [len(run) for run in lane_runs(count)] == [32, 33, 33, 33]
+
+
+def test_lanes_are_served_at_once():
+    barrier = threading.Barrier(_http.LANES, timeout=2)
+    arrived = itertools.count()
+
+    def handler(path, payload):
+        if next(arrived) < _http.LANES:
+            barrier.wait()  # passes only once every lane's first request is in
+        return 200, payload
+
+    payloads = [{"i": i} for i in range(2 * _http.LANES)]
+    with StubServer(handler, keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
+        assert client.post_all("/v1/x", payloads) == payloads
+        assert len(server.requests) == len(payloads)
+
+
+def test_lanes_to_a_stalled_server_cost_one_timeout():
+    # Nothing accepts: the kernel completes the handshakes and takes the
+    # requests, and no reply ever comes.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        endpoint = "http://127.0.0.1:%d" % listener.getsockname()[1]
+        client = _http.ServiceClient(endpoint, timeout=0.2, max_retries=1)
+        began = time.monotonic()
+        results = client.post_all("/v1/x", [{"i": i} for i in range(8)])
+        elapsed = time.monotonic() - began
+        listener.setblocking(False)
+        received = b""
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(1)
+                    while chunk := conn.recv(65536):
+                        received += chunk
+    # One timeout for the lanes, one for entry 0 sent again: as on one connection.
+    assert elapsed < 0.6
+    assert received.count(b"POST ") == 8 + 1
+    assert isinstance(results[0], TransportError) and "timed out" in results[0].last_error
+    assert all(r is results[0] for r in results)
+
+
+def test_an_interrupt_while_reading_closes_every_started_lane(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    read, reads, opened = _http._read_response, itertools.count(), []
+
+    def interrupted(rfile):
+        if next(reads) == 2:  # the first reply of the second lane
+            raise Interrupt
+        return read(rfile)
+
+    monkeypatch.setattr(_http, "_read_response", interrupted)
+    with StubServer(echo, keep_alive=True) as server:
+        origin, target = _http._route(server.endpoint + "/v1/x")
+        connect = origin._connect
+        monkeypatch.setattr(origin, "_connect", lambda t: opened.append(connect(t)) or opened[-1])
+        with pytest.raises(Interrupt):
+            origin.post_lanes(target, [b"{}"] * 8, 5)
+        assert len(opened) == _http.LANES
+        # The first lane was read and went back to the pool; the rest are closed.
+        assert origin._idle == opened[:1]
+        assert [sock.fileno() == -1 for sock, _ in opened] == [False, True, True, True]
+
+
+def test_idle_pool_keeps_a_connection_for_every_lane_of_every_caller():
+    threads, rounds, entries = 8, 5, 16
+
+    def handler(path, payload):
+        time.sleep(0.002)
+        return 200, payload
+
+    with StubServer(handler, keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=10, max_retries=1)
+        barrier = threading.Barrier(threads, timeout=10)
+
+        def run(worker):
+            for r in range(rounds):
+                barrier.wait()
+                payloads = [{"worker": worker, "round": r, "i": i} for i in range(entries)]
+                assert client.post_all("/v1/x", payloads) == payloads
+
+        with ThreadPoolExecutor(threads) as pool:
+            for future in [pool.submit(run, w) for w in range(threads)]:
+                future.result(timeout=60)
+        assert len(server.requests) == threads * rounds * entries
+        assert server.connections <= threads * _http.LANES
 
 
 def test_pipeline_reads_each_window_before_writing_the_next():
@@ -276,14 +390,23 @@ def test_pipeline_reads_each_window_before_writing_the_next():
 
 
 def test_pipeline_closed_after_reply_k_resends_the_rest():
-    replies = [(numbered(0), False), (numbered(1, b"Connection: close\r\n"), True),
-               (numbered(2), False), (numbered(3), False)]
-    with CannedServer(*replies) as server:
+    def handler(path, payload):
+        if payload["i"] == 0:
+            return 200, payload, {"Connection": "close"}
+        return 200, payload
+
+    payloads = [{"i": i} for i in range(2 * _http.LANES)]
+    with StubServer(handler, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
-        assert client.post_all("/v1/x", [{}] * 4) == [{"i": i} for i in range(4)]
-        # Two pipelined on the first connection, then one at a time on a second.
-        assert len(server.heads) == 4
-        assert server.connections == 2
+        assert client.post_all("/v1/x", payloads) == payloads
+        # Entry 1 was written behind entry 0, on the connection that reply
+        # closed; it went again on its own, on a pooled connection, once
+        # every lane was read.
+        assert lane_runs(len(payloads))[0] == [0, 1]
+        assert [0] in arrivals(server)
+        assert sorted(p["i"] for _, p in server.requests) == list(range(len(payloads)))
+        assert server.requests[-1][1] == {"i": 1}
+        assert server.connections == _http.LANES
 
 
 def test_pipeline_retries_only_the_5xx_entry_and_keeps_a_4xx_entry_as_its_error():
@@ -300,7 +423,9 @@ def test_pipeline_retries_only_the_5xx_entry_and_keeps_a_4xx_entry_as_its_error(
     with StubServer(handler, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=2, backoff=0)
         results = client.post_all("/v1/x", [{"i": i} for i in range(4)])
-        assert [p["i"] for _, p in server.requests] == [0, 1, 2, 3, 1]
+        arrived = [p["i"] for _, p in server.requests]
+        # The lanes arrive in any order; the resend comes after all of them.
+        assert sorted(arrived[:4]) == [0, 1, 2, 3] and arrived[4:] == [1]
     assert results[0] == {"i": 0} and results[1] == {"i": 1} and results[3] == {"i": 3}
     assert isinstance(results[2], RemoteServiceError) and results[2].status == 404
 
@@ -309,8 +434,10 @@ def test_pipeline_stops_resending_at_the_first_transport_error():
     with StubServer(lambda path, payload: (503, {}), keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=3, backoff=0)
         results = client.post_all("/v1/x", [{"i": i} for i in range(5)])
-        # Five pipelined, then entry 0 alone with its retry budget of three.
-        assert [p["i"] for _, p in server.requests] == [0, 1, 2, 3, 4, 0, 0, 0]
+        # Five pipelined over the lanes, in any order, then entry 0 alone
+        # with its retry budget of three.
+        arrived = [p["i"] for _, p in server.requests]
+        assert sorted(arrived[:5]) == [0, 1, 2, 3, 4] and arrived[5:] == [0, 0, 0]
     assert isinstance(results[0], TransportError) and results[0].attempts == 3
     assert all(r is results[0] for r in results)
 
@@ -333,6 +460,15 @@ def test_pipeline_on_a_connection_dropped_while_idle_is_replaced_without_an_atte
         assert [status for status, _ in replies] == [200] * 3
         assert server.connections == 2
         assert len(server.requests) == 6
+
+
+def test_pipeline_whose_first_write_fails_on_a_pooled_connection_is_replaced_without_an_attempt():
+    with StubServer(echo, keep_alive=True) as server:
+        origin, target = _http._route(server.endpoint + "/v1/embed")
+        assert origin.post(target, b'{"i": 0}', 5)[0] == 200
+        origin._idle[-1][0].shutdown(socket.SHUT_WR)  # the next write on it fails
+        assert origin.post(target, b'{"i": 1}', 5)[0] == 200
+        assert server.connections == 2
 
 
 def test_pipeline_reply_that_breaks_ends_the_exchange():
