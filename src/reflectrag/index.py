@@ -3,10 +3,21 @@
 Search is exact flat search: scores are dot products of unit-normalized
 vectors, equivalent to an exhaustive sort by (score descending, insertion
 order ascending). No approximate structures; at the scales this targets,
-correctness and oracle-testability win. Queries are scored in blocks, one
-float64 matrix product per block (:func:`search_batch`); :func:`search` is
-the one-query case, so a query's scores do not depend on how it was batched.
-A large batch can be cut into runs of whole blocks scored on several
+correctness and oracle-testability win.
+
+Every score a search returns is one column of a canonical float64 product,
+a slab of at most 512 index rows times a zero-padded block of 16 queries
+(:func:`_score_blocks`). A query's column does not depend on what else is in
+its block, so its hits are the same bits however it was batched. On an index
+of more than 2k slabs, top-k search screens first: a float32 pass scores
+each group of queries against every entry and keeps, per query, the entries
+within a proven rounding margin of its k-th screened score. Only the slabs
+that hold a candidate get the canonical product, with the queries that need
+a slab packed into its blocks, and the candidates are then sorted exactly.
+:func:`gold_rank` and :func:`recall_at_k` need every score and take the
+product of every slab.
+
+A large batch can be cut into runs of whole blocks searched on several
 threads, and every product runs with OpenBLAS held at one thread, so the
 threads that score are the callers' own and never oversubscribe the cores.
 OpenBLAS splits a product over its rows and columns, never over the inner
@@ -124,6 +135,12 @@ class DenseIndex:
             out.setdefault(doc_id, i)
         return out
 
+    @cached_property
+    def _longest_row(self) -> float:
+        """Largest row norm (NaN when a row is not finite)."""
+        squares = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        return float(np.sqrt(squares.max(initial=0.0)))
+
 
 def _normalize_rows(matrix: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -177,15 +194,22 @@ def build_index(
     return DenseIndex(mode=mode, dim=dim, doc_ids=tuple(doc_ids), matrix=matrix)
 
 
-#: Queries per matrix product. Every block is padded to this many rows and
-#: multiplied as ``matrix @ block.T``, so each query is one column of a
-#: product of the same shape whatever else is in its batch. BLAS picks
+#: Queries per canonical product. Every block is padded to this many rows
+#: and multiplied as ``slab @ block.T``, so each query is one column of a
+#: product of the same shape whatever else is in its block. BLAS picks
 #: kernels and thread splits by shape, may split the columns of a
-#: ``block @ matrix.T`` product into chunks that round differently, and
-#: numpy sends a one-row product to GEMV, which rounds differently again.
+#: ``block @ slab.T`` product into chunks that round differently, and numpy
+#: sends a one-row product to GEMV, which rounds differently again.
 _BLOCK = 16
-#: Index rows per product, which bounds the buffer BLAS packs them into.
+#: Index rows per canonical product (the last slab may be shorter). It bounds
+#: the buffer BLAS packs them into, and it is the unit the screen skips.
 _ROWS = 512
+#: Queries per float32 screening pass, which bounds the screen's buffer to
+#: this many rows of float32 scores against every entry.
+_SCREEN = 4 * _BLOCK
+#: Longest index row the screen takes on: its float32 pass cannot overflow.
+#: Rows of ``build_index`` and ``load_index`` are unit vectors.
+_SCREEN_ROW_MAX = 2.0**64
 
 
 #: (getter, setter) symbol names of the OpenBLAS thread count, by build:
@@ -256,42 +280,130 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
-def _score_blocks(index: DenseIndex, queries: Sequence):
-    """Yield ``(start, scores)`` per block of queries; row ``j`` of ``scores``
-    scores query ``start + j`` against every entry.
-
-    Queries are widened to float64 a block at a time, and the buffers are
-    reused, so read each block before asking for the next.
-    """
-    for q in queries:
+def _check_queries(index: DenseIndex, queries: Sequence) -> None:
+    """A query of the wrong shape, or with a value that is not finite, is a
+    ``ValueError``."""
+    for i, q in enumerate(queries):
         if np.shape(q) != (index.dim,):
             raise ValueError(f"query dim {np.shape(q)} does not match index dim {index.dim}")
+        if not np.isfinite(q).all():
+            raise ValueError(f"query {i} has a value that is not finite")
+
+
+def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
+    """Yield ``(ids, scores)`` per block of queries; row ``j`` of ``scores``
+    holds the scores of query ``ids[j]`` against the entries of the block's
+    slabs, and its other columns are stale.
+
+    ``jobs`` lists the blocks as ``(ids, slab starts)``; by default every run
+    of ``_BLOCK`` queries against every slab. Every score comes from the
+    canonical product here. The buffers are reused, so read each block before
+    asking for the next.
+    """
+    if jobs is None:
+        every = range(0, len(index), _ROWS)
+        jobs = (
+            (np.arange(lo, min(lo + _BLOCK, len(queries))), every)
+            for lo in range(0, len(queries), _BLOCK)
+        )
     block = np.zeros((_BLOCK, index.dim))
-    product = np.empty((len(index), _BLOCK))
+    product = np.empty((_ROWS, _BLOCK))
     scores = np.empty((_BLOCK, len(index)))
-    for lo in range(0, len(queries), _BLOCK):
-        m = min(_BLOCK, len(queries) - lo)
-        block[:m] = queries[lo : lo + m]
+    for ids, slabs in jobs:
+        m = len(ids)
+        block[:m] = [queries[i] for i in ids]
         block[m:] = 0.0
-        for r in range(0, len(index), _ROWS):
-            np.matmul(index.matrix[r : r + _ROWS], block.T, out=product[r : r + _ROWS])
-        scores[...] = product.T
-        yield lo, scores[:m]
+        for r in slabs:
+            rows = index.matrix[r : r + _ROWS]
+            np.matmul(rows, block.T, out=product[: len(rows)])
+            scores[:m, r : r + len(rows)] = product[: len(rows), :m].T
+        yield ids, scores[:m]
+
+
+def _screen(index: DenseIndex, queries: Sequence, k: int) -> list[np.ndarray]:
+    """Per query, the ascending positions whose canonical score can be among
+    its top k, found by scoring against every entry in float32.
+
+    Each query is first scaled by a power of two, which is exact, so that its
+    largest component lies in [0.5, 1). With ``u = 2**-24``, a screened score
+    then differs from ``2**-e`` times the canonical score of the same pair by
+    at most ``err * |q| * M + dim * a``: ``M`` is the longest row, ``err`` is
+    ``2u + u*u + g(u) * (1 + u)**2 + g(2**-53)`` with ``g(v) = dim*v / (1 -
+    dim*v)`` (the float32 rounding of both operands and of both ``dim``-term
+    dot products), and ``a`` bounds what underflow adds. The k-th screened
+    score is therefore within that bound of the k-th canonical score, and
+    every entry of the true top k, ties included, within twice of it.
+    """
+    n, dim = len(index), index.dim
+    u, u64 = 2.0**-24, 2.0**-53
+    err = 2 * u + u * u + dim * u / (1 - dim * u) * (1 + u) ** 2 + dim * u64 / (1 - dim * u64)
+    longest = index._longest_row
+    screen = np.empty((min(_SCREEN, len(queries)), n), dtype=np.float32)
+    kept = []
+    for lo in range(0, len(queries), _SCREEN):
+        group = np.array(queries[lo : lo + _SCREEN], dtype=np.float64)
+        exp = np.frexp(np.abs(group).max(axis=1))[1]
+        np.ldexp(group, -exp[:, None], out=group)
+        scores = screen[: len(group)]
+        group32 = group.astype(np.float32)
+        for r in range(0, n, _ROWS):
+            slab = index.matrix[r : r + _ROWS].astype(np.float32)
+            np.matmul(group32, slab.T, out=scores[:, r : r + len(slab)])
+        # twice the bound, and 2**-20 of it more for the float64 rounding of
+        # the norms and of the bound itself
+        margins = 2 * (1 + 2.0**-20) * (
+            err * np.linalg.norm(group, axis=1) * longest
+            + dim * (2.0**-147 * max(1.0, longest) + np.ldexp(1.0, -1074 - exp))
+        )
+        for row, margin in zip(scores, margins):
+            kth = float(np.partition(row, n - k)[n - k])
+            # rounded down to float32, so the floor is never above kth - margin
+            floor = np.nextafter(np.float32(kth - margin), np.float32(-np.inf))
+            kept.append(np.flatnonzero(row >= floor))
+    return kept
+
+
+def _hits(
+    index: DenseIndex, positions: np.ndarray, scores: np.ndarray, k: int
+) -> list[RetrievalHit]:
+    """The first k of ``positions`` (ascending) by (score descending,
+    position ascending)."""
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [
+        RetrievalHit(doc_id=index.doc_ids[positions[i]], score=float(scores[i]), rank=rank)
+        for rank, i in enumerate(order, start=1)
+    ]
 
 
 def _top_k(index: DenseIndex, queries: Sequence, k: int) -> list[list[RetrievalHit]]:
     n = len(index)
-    out = []
-    for _, scores in _score_blocks(index, queries):
-        for row in scores:
-            kth = np.partition(row, n - k)[n - k]
-            top = np.flatnonzero(row >= kth)
-            top = top[np.argsort(-row[top], kind="stable")[:k]]
-            out.append([
-                RetrievalHit(doc_id=index.doc_ids[i], score=float(row[i]), rank=rank)
-                for rank, i in enumerate(top, start=1)
-            ])
-    return out
+    # A screen costs about half of scoring every slab, so it runs only where a
+    # query's top k leave more than half of the slabs without a candidate
+    # (never on one slab).
+    if n <= 2 * k * _ROWS or not index._longest_row <= _SCREEN_ROW_MAX:
+        out = []
+        for _, scores in _score_blocks(index, queries):
+            for row in scores:
+                top = np.flatnonzero(row >= np.partition(row, n - k)[n - k])
+                out.append(_hits(index, top, row[top], k))
+        return out
+    kept = _screen(index, queries, k)
+    slabs = [positions // _ROWS for positions in kept]
+    needing: dict[int, list[int]] = {}  # slab -> the queries with a candidate in it
+    for i, of_query in enumerate(slabs):
+        for slab in dict.fromkeys(of_query.tolist()):
+            needing.setdefault(slab, []).append(i)
+    jobs = [
+        (np.array(ids[lo : lo + _BLOCK]), (slab * _ROWS,))
+        for slab, ids in sorted(needing.items())
+        for lo in range(0, len(ids), _BLOCK)
+    ]
+    rescored = [np.empty(len(positions)) for positions in kept]
+    for (_, (r,)), (ids, scores) in zip(jobs, _score_blocks(index, queries, jobs)):
+        for i, row in zip(ids, scores):
+            inside = slabs[i] == r // _ROWS
+            rescored[i][inside] = row[kept[i][inside]]
+    return [_hits(index, positions, s, k) for positions, s in zip(kept, rescored)]
 
 
 def search_batch(
@@ -302,16 +414,19 @@ def search_batch(
 ) -> list[list[RetrievalHit]]:
     """Top-k entries for each query; ties break toward earlier insertion.
 
-    Each row is partitioned at its k-th best score and only the entries at or
-    above it are sorted, by (score descending, position ascending). A query's
-    hits are the same bits whichever batch it is in. With ``workers > 1`` the
-    queries are cut into at most that many contiguous runs of whole blocks,
-    scored on as many threads and joined in order; each block is the one a
-    single worker scores, so the hits are the same bits too.
+    Only each query's candidates are sorted, by (score descending, position
+    ascending): on one slab the entries at or above its k-th best score, and
+    otherwise those its float32 screen keeps. A query's hits are the same
+    bits whichever batch it is in. With ``workers > 1`` the queries are cut
+    into at most that many contiguous runs of whole blocks, searched on as
+    many threads and joined in order, so the hits are the same bits too.
+    A query of the wrong dimension or with a value that is not finite is a
+    ``ValueError``.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     k = min(k, len(index))
+    _check_queries(index, queries)
     blocks = -(-len(queries) // _BLOCK)
     with _one_blas_thread:
         if min(workers, blocks) <= 1:
@@ -382,6 +497,7 @@ def _rank_in(scores: np.ndarray, pos: int) -> int:
 def gold_rank(index: DenseIndex, query: np.ndarray, gold_doc_id: str) -> int:
     """1-based rank of the gold document under search ordering."""
     pos = _gold_position(index, gold_doc_id)
+    _check_queries(index, [query])
     with _one_blas_thread:
         _, scores = next(_score_blocks(index, [query]))
         return _rank_in(scores[0], pos)
@@ -407,9 +523,11 @@ def recall_at_k(
             excluded.append(f"query {i}: {exc}")
     ranks: list[int] = []
     if known:
+        vectors = [vec for vec, _ in known]
+        _check_queries(index, vectors)
         with _one_blas_thread:
-            for lo, scores in _score_blocks(index, [vec for vec, _ in known]):
-                ranks.extend(_rank_in(row, known[lo + j][1]) for j, row in enumerate(scores))
+            for ids, scores in _score_blocks(index, vectors):
+                ranks.extend(_rank_in(row, known[i][1]) for i, row in zip(ids, scores))
     entries = []
     n = len(ranks)
     for k in ks:
@@ -462,5 +580,12 @@ def load_index(path: str | Path) -> DenseIndex:
     raw = np.fromfile(sidecar_path(path), dtype="<f4")
     if raw.size != count * dim:
         raise ValueError(f"{path}: sidecar size mismatch")
-    matrix = raw.reshape(count, dim).astype(np.float64)
+    raw = raw.reshape(count, dim)
+    # a float64 sum of float32 values cannot overflow, so it is finite
+    # exactly when every value of the row is
+    bad = np.flatnonzero(~np.isfinite(raw.sum(axis=1, dtype=np.float64)))
+    if bad.size:
+        pos = int(bad[0])
+        raise ValueError(f"{path}: entry {pos} ({doc_ids[pos]!r}) has a value that is not finite")
+    matrix = raw.astype(np.float64)
     return DenseIndex(mode=mode, dim=dim, doc_ids=doc_ids, matrix=matrix)

@@ -225,6 +225,11 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                 f"sidecar holds {sidecar.size} floats, expected {count}x{dim}", 1
             )
         sidecar = sidecar.reshape(count, dim)
+        sidecar.setflags(write=False)
+        # |n*n - 1| <= tol implies |n - 1| < tol, so one float64 pass clears
+        # the rows that need no check; the rest get the per-row check in order.
+        squares = np.einsum("ij,ij->i", sidecar, sidecar, dtype=np.float64)
+        cleared = np.abs(squares - 1.0) <= UNIT_NORM_TOL
 
     documents: dict[str, Document] = {}
     body_lines = [(i + 2, line) for i, line in enumerate(lines[1:]) if line.strip()]
@@ -245,7 +250,9 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                     f"document {doc.id!r}: inline embedding present in sidecar mode",
                     line_no,
                 )
-            emb = _as_unit_embedding(sidecar[row], dim, doc.id, line_no)
+            emb = sidecar[row]
+            if not cleared[row]:
+                emb = _as_unit_embedding(emb, dim, doc.id, line_no)
             doc = Document(doc.id, doc.title, doc.summary, doc.sections, emb)
         if doc.id in documents:
             raise KBLoadError(f"duplicate document id {doc.id!r}", line_no)

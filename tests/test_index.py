@@ -463,3 +463,145 @@ class TestRecall:
         ]
         save_recall_report(report, tmp_path / "recall.json")
         assert json.loads((tmp_path / "recall.json").read_text()) == obj
+
+
+def screened_index(rows: int, dim: int, seed: int):
+    """Random unit rows with exact copies on both sides of every slab boundary
+    and a cluster of rows 1e-9 apart spread over every slab.
+
+    Returns the index and queries: random ones, ones near the cluster (whose
+    top hits are near-ties far below the float32 margin) and the rows that
+    straddle the boundaries (whose top hits tie exactly across two slabs).
+    """
+    rng = np.random.default_rng(seed)
+    slab = index_mod._ROWS
+    matrix = rng.standard_normal((rows, dim))
+    for b in range(slab, rows, slab):
+        matrix[b] = matrix[b - 1]
+        matrix[b + 1] = matrix[b - 2]
+    center = rng.standard_normal(dim)
+    cluster = [
+        p for b in range(0, rows, slab) for p in (b + 3, b + slab // 2, min(b + slab, rows) - 4)
+    ]
+    matrix[cluster] = center + 1e-9 * rng.standard_normal((len(cluster), dim))
+    index = make_index(matrix.tolist())
+    near = center + 0.05 * rng.standard_normal((8, dim))
+    straddling = [index.matrix[b + i] for b in range(slab, rows, slab) for i in (-1, 1)]
+    queries = np.vstack([unit_queries(rng, 16, dim), near, straddling])
+    return index, queries
+
+
+def canonical_scores(index: DenseIndex, query) -> np.ndarray:
+    """The query's scores as one column of the canonical products: each slab
+    of index rows times a zero-padded block that holds the query alone."""
+    block = np.zeros((index_mod._BLOCK, index.dim))
+    block[0] = query
+    return np.concatenate([
+        (index.matrix[r : r + index_mod._ROWS] @ block.T)[:, 0]
+        for r in range(0, len(index), index_mod._ROWS)
+    ])
+
+
+def canonical_oracle(index: DenseIndex, query, k: int) -> list[tuple[str, float, int]]:
+    scores = canonical_scores(index, query)
+    order = np.lexsort((np.arange(len(index)), -scores))[:k]
+    return [(index.doc_ids[i], float(scores[i]), rank) for rank, i in enumerate(order, start=1)]
+
+
+def as_tuples(hits) -> list[tuple[str, float, int]]:
+    return [(h.doc_id, h.score, h.rank) for h in hits]
+
+
+# slabs of 512, 512 and 276 rows; and 12 slabs, on which a top 5 is screened
+SCREEN_SHAPES = [(1300, 64), (1300, 256), (6000, 32)]
+
+
+class TestScreenedSearch:
+    @pytest.mark.parametrize("shape", SCREEN_SHAPES)
+    def test_screen_keeps_every_oracle_hit(self, shape):
+        index, queries = screened_index(*shape, seed=31)
+        for k in (1, 5, 50, len(index)):
+            kept = index_mod._screen(index, queries, k)
+            for query, positions in zip(queries, kept):
+                assert np.all(np.diff(positions) > 0)
+                top = {index.positions[d] for d, _, _ in canonical_oracle(index, query, k)}
+                assert top <= set(positions.tolist()), k
+
+    @pytest.mark.parametrize("shape", SCREEN_SHAPES)
+    def test_hits_match_canonical_oracle_bit_for_bit(self, shape):
+        index, queries = screened_index(*shape, seed=32)
+        for k in (1, 5, 50, len(index)):
+            some = queries if k < len(index) else queries[::5]
+            expected = [canonical_oracle(index, q, k) for q in some]
+            assert [as_tuples(hits) for hits in search_batch(index, some, k)] == expected, k
+            for q, hits in zip(some[::7], expected[::7]):
+                assert as_tuples(search(index, q, k)) == hits
+
+    @pytest.mark.parametrize("shape", SCREEN_SHAPES)
+    def test_batches_and_workers_match_oracle(self, shape):
+        index, queries = screened_index(*shape, seed=33)
+        for k in (1, 5):
+            expected = [canonical_oracle(index, q, k) for q in queries]
+            for n in range(1, 34):
+                for workers in (1, 2, 3):
+                    found = search_batch(index, queries[-n:], k, workers)
+                    assert [as_tuples(h) for h in found] == expected[-n:], (k, n, workers)
+
+    def test_exact_ties_across_a_slab_boundary_go_to_the_earlier_row(self):
+        index, _ = screened_index(6000, 32, seed=34)
+        for b in (512, 1024, 5632):
+            hits = search(index, index.matrix[b], 2)
+            assert [h.doc_id for h in hits] == [f"doc{b - 1}", f"doc{b}"]
+            assert hits[0].score == hits[1].score
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-30, 1e30, 1e300])
+    def test_queries_of_any_magnitude_match_the_oracle(self, scale):
+        index, queries = screened_index(1300, 64, seed=35)
+        queries = queries * scale
+        assert [as_tuples(h) for h in search_batch(index, queries, 1)] == [
+            canonical_oracle(index, q, 1) for q in queries
+        ]
+
+    def test_screen_skips_the_slabs_without_a_candidate(self, monkeypatch):
+        products = []
+        real = index_mod._score_blocks
+
+        def counting(index, queries, jobs=None):
+            slabs = -(-len(index) // index_mod._ROWS)
+            blocks = -(-len(queries) // index_mod._BLOCK)
+            products.append(blocks * slabs if jobs is None else sum(len(s) for _, s in jobs))
+            return real(index, queries, jobs)
+
+        monkeypatch.setattr(index_mod, "_score_blocks", counting)
+        rng = np.random.default_rng(36)
+        index = make_index(rng.standard_normal((6000, 32)).tolist())
+        search(index, index.matrix[3000], 1)
+        # 40 queries whose best rows all lie in the first slab: one slab's blocks
+        search_batch(index, index.matrix[:40], 1)
+        search_batch(index, index.matrix[:40], 5)
+        assert products[:2] == [1, 3]
+        assert products[2] < 3 * 12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index = make_index(np.eye(4).tolist())
+        query = [0.0, 1.0, 0.0, 0.0]
+        with pytest.raises(ValueError, match="query 1 has a value that is not finite"):
+            search_batch(index, [query, [bad, 0.0, 0.0, 0.0]], 2)
+        with pytest.raises(ValueError, match="not finite"):
+            search(index, [0.0, bad, 0.0, 0.0], 2)
+        with pytest.raises(ValueError, match="not finite"):
+            gold_rank(index, np.array([bad, 0.0, 0.0, 0.0]), "doc0")
+        with pytest.raises(ValueError, match="not finite"):
+            recall_at_k(index, [(query, "doc1"), ([0.0, 0.0, bad, 0.0], "doc2")], [1])
+
+
+def test_load_index_rejects_a_non_finite_entry(tmp_path):
+    matrix = np.eye(4)
+    save_index(make_index(matrix.tolist(), ["a", "b", "c", "d"]), tmp_path / "idx.jsonl")
+    vec = np.fromfile(tmp_path / "idx.vec", dtype="<f4").reshape(4, 4)
+    vec[2, 1] = np.nan
+    vec[3, 0] = np.inf
+    vec.tofile(tmp_path / "idx.vec")
+    with pytest.raises(ValueError, match=r"entry 2 \('c'\) has a value that is not finite"):
+        load_index(tmp_path / "idx.jsonl")

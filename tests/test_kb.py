@@ -157,3 +157,52 @@ def test_sidecar_size_mismatch(tmp_path):
     np.asarray([1.0, 0.0], dtype="<f4").tofile(sidecar_path(path))
     with pytest.raises(KBLoadError, match="sidecar"):
         load_kb(path)
+
+
+def write_sidecar_kb(tmp_path, rows, docs=None):
+    """A sidecar KB with one document per row of ``rows``."""
+    docs = docs or [doc_record(f"d{i}", embedding=None) for i in range(len(rows))]
+    path = write_kb_file(tmp_path / "kb.jsonl", docs, manifest={"embeddings": "sidecar"})
+    np.asarray(rows, dtype="<f4").tofile(sidecar_path(path))
+    return path
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([2.0, 0.0, 0.0, 0.0], r"\(norm=2\)"),
+        ([1.0, np.nan, 0.0, 0.0], r"\(norm=nan\)"),
+        ([0.0, 0.0, 0.0, 0.0], r"\(norm=0\)"),
+        ([1.0002, 0.0, 0.0, 0.0], r"\(norm=1\.0002\)"),
+    ],
+)
+def test_sidecar_row_off_the_unit_sphere_cites_its_line(tmp_path, bad, message):
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], bad, [3.0, 0.0, 0.0, 0.0]]
+    message = "line 4: document 'd2': embedding not unit-normalized " + message
+    with pytest.raises(KBLoadError, match=message):
+        load_kb(write_sidecar_kb(tmp_path, rows))
+
+
+def test_sidecar_rows_within_tolerance_load_as_read_only_views(tmp_path):
+    # norms 1 - 8e-5 and 1 + 8e-5 are inside UNIT_NORM_TOL but outside the
+    # vectorized pass's stricter bound, so they take the per-row check
+    rows = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.99992, 0.0, 0.0], [0.0, 0.0, 1.00008, 0.0]]
+    kb = load_kb(write_sidecar_kb(tmp_path, rows))
+    embeddings = [doc.image_embedding for doc in kb.documents.values()]
+    assert np.array_equal(np.vstack(embeddings), np.asarray(rows, dtype=np.float32))
+    for emb in embeddings:
+        assert emb.dtype == np.float32 and not emb.flags.writeable
+        assert emb.base is embeddings[0].base is not None
+
+
+def test_sidecar_errors_keep_line_order(tmp_path):
+    rows = [[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [0.5, 0.0, 0.0, 0.0]]
+    docs = [doc_record(doc_id, embedding=None) for doc_id in ("d0", "d1", "d0")]
+    # the bad norm on line 3 is reported before the duplicate id on line 4
+    with pytest.raises(KBLoadError, match="line 3: document 'd1': embedding not unit"):
+        load_kb(write_sidecar_kb(tmp_path, rows, docs))
+    # a document error on a line comes before that line's embedding check
+    docs[1]["sections"] = []
+    docs[1]["title"] = ""
+    with pytest.raises(KBLoadError, match="line 3: document 'd1': title must be non-empty"):
+        load_kb(write_sidecar_kb(tmp_path, rows, docs))
