@@ -6,16 +6,16 @@ order ascending). No approximate structures; at the scales this targets,
 correctness and oracle-testability win.
 
 Every score a search returns is one column of a canonical float64 product,
-a slab of at most 512 index rows times a zero-padded block of 16 queries
-(:func:`_score_blocks`). A query's column does not depend on what else is in
-its block, so its hits are the same bits however it was batched. On an index
-of more than 2k slabs, top-k search screens first: a float32 pass scores
-each group of queries against every entry and keeps, per query, the entries
-within a proven rounding margin of its k-th screened score. Only the slabs
-that hold a candidate get the canonical product, with the queries that need
-a slab packed into its blocks, and the candidates are then sorted exactly.
-:func:`gold_rank` and :func:`recall_at_k` need every score and take the
-product of every slab.
+a slab of at most 512 index rows, widened exactly to float64, times a
+zero-padded block of 16 queries (:func:`_score_blocks`). A query's column
+does not depend on what else is in its block, so its hits are the same bits
+however it was batched. On an index of more than 2k slabs, top-k search
+screens first: a float32 product scores each group of queries against every
+entry and keeps, per query, the entries within a proven rounding margin of
+its k-th screened score. Only the slabs that hold a candidate get the
+canonical product, with the queries that need a slab packed into its
+blocks, and the candidates are then sorted exactly. :func:`gold_rank` and
+:func:`recall_at_k` need every score and take the product of every slab.
 
 A large batch can be cut into runs of whole blocks searched on several
 threads, and every product runs with OpenBLAS held at one thread, so the
@@ -23,9 +23,9 @@ threads that score are the callers' own and never oversubscribe the cores.
 OpenBLAS splits a product over its rows and columns, never over the inner
 dimension, so the thread count does not change any bits.
 
-Index file format: a JSON manifest line ``{"mode","dim","count"}`` followed
-by one ``{"doc_id"}`` line per entry; vectors live in a ``<stem>.vec``
-little-endian float32 sidecar, row-major, in entry order.
+Index file format: a JSON manifest line ``{"mode","dim","count"}``, one
+``{"doc_id"}`` line per entry, and a ``<stem>.vec`` sidecar of little-endian
+float32 rows in entry order, which a loaded index holds as its matrix.
 """
 from __future__ import annotations
 
@@ -72,14 +72,13 @@ class HashEmbedder:
     identical text always maps to the identical vector.
     """
 
-    def __init__(self, dim: int, salt: str = ""):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
-        self.salt = salt
 
     def embed(self, text: str) -> np.ndarray:
-        digest = hashlib.sha256((self.salt + text).encode("utf-8")).digest()
+        digest = hashlib.sha256(text.encode("utf-8")).digest()
         seed = int.from_bytes(digest[:8], "little")
         rng = np.random.Generator(np.random.PCG64(seed))
         vec = rng.standard_normal(self.dim)
@@ -119,12 +118,18 @@ class DenseIndex:
     mode: RetrievalMode
     dim: int
     doc_ids: tuple[str, ...]
-    matrix: np.ndarray  # float64, unit rows, shape (N, dim)
+    matrix: np.ndarray  # unit rows, shape (N, dim); float32 as loaded, float64 as built
 
     def __len__(self) -> int:
         return len(self.doc_ids)
 
     def __post_init__(self):
+        if self.matrix.shape != (len(self.doc_ids), self.dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} is not ({len(self)}, {self.dim})")
+        # a row's float64 sum is finite when its values are, unless it overflows
+        for pos in np.flatnonzero(~np.isfinite(self.matrix.sum(axis=1, dtype=np.float64))):
+            if not np.isfinite(self.matrix[pos]).all():
+                raise ValueError(f"entry {pos} ({self.doc_ids[pos]!r}) has a value that is not finite")
         self.matrix.setflags(write=False)
 
     @cached_property
@@ -137,8 +142,8 @@ class DenseIndex:
 
     @cached_property
     def _longest_row(self) -> float:
-        """Largest row norm (NaN when a row is not finite)."""
-        squares = np.einsum("ij,ij->i", self.matrix, self.matrix)
+        """Largest row norm, its squares summed in float64."""
+        squares = np.einsum("ij,ij->i", self.matrix, self.matrix, dtype=np.float64)
         return float(np.sqrt(squares.max(initial=0.0)))
 
 
@@ -297,8 +302,8 @@ def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
 
     ``jobs`` lists the blocks as ``(ids, slab starts)``; by default every run
     of ``_BLOCK`` queries against every slab. Every score comes from the
-    canonical product here. The buffers are reused, so read each block before
-    asking for the next.
+    canonical product here, of a slab widened exactly to float64. The buffers
+    are reused, so read each block before asking for the next.
     """
     if jobs is None:
         every = range(0, len(index), _ROWS)
@@ -307,6 +312,7 @@ def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
             for lo in range(0, len(queries), _BLOCK)
         )
     block = np.zeros((_BLOCK, index.dim))
+    wide = np.empty((_ROWS, index.dim))
     product = np.empty((_ROWS, _BLOCK))
     scores = np.empty((_BLOCK, len(index)))
     for ids, slabs in jobs:
@@ -314,7 +320,8 @@ def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
         block[:m] = [queries[i] for i in ids]
         block[m:] = 0.0
         for r in slabs:
-            rows = index.matrix[r : r + _ROWS]
+            rows = wide[: min(_ROWS, len(index) - r)]
+            rows[...] = index.matrix[r : r + _ROWS]
             np.matmul(rows, block.T, out=product[: len(rows)])
             scores[:m, r : r + len(rows)] = product[: len(rows), :m].T
         yield ids, scores[:m]
@@ -322,7 +329,7 @@ def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
 
 def _screen(index: DenseIndex, queries: Sequence, k: int) -> list[np.ndarray]:
     """Per query, the ascending positions whose canonical score can be among
-    its top k, found by scoring against every entry in float32.
+    its top k, found by scoring against every entry in one float32 product.
 
     Each query is first scaled by a power of two, which is exact, so that its
     largest component lies in [0.5, 1). With ``u = 2**-24``, a screened score
@@ -338,17 +345,14 @@ def _screen(index: DenseIndex, queries: Sequence, k: int) -> list[np.ndarray]:
     u, u64 = 2.0**-24, 2.0**-53
     err = 2 * u + u * u + dim * u / (1 - dim * u) * (1 + u) ** 2 + dim * u64 / (1 - dim * u64)
     longest = index._longest_row
+    matrix = index.matrix.astype(np.float32, copy=False)
     screen = np.empty((min(_SCREEN, len(queries)), n), dtype=np.float32)
     kept = []
     for lo in range(0, len(queries), _SCREEN):
         group = np.array(queries[lo : lo + _SCREEN], dtype=np.float64)
         exp = np.frexp(np.abs(group).max(axis=1))[1]
         np.ldexp(group, -exp[:, None], out=group)
-        scores = screen[: len(group)]
-        group32 = group.astype(np.float32)
-        for r in range(0, n, _ROWS):
-            slab = index.matrix[r : r + _ROWS].astype(np.float32)
-            np.matmul(group32, slab.T, out=scores[:, r : r + len(slab)])
+        scores = np.matmul(group.astype(np.float32), matrix.T, out=screen[: len(group)])
         # twice the bound, and 2**-20 of it more for the float64 rounding of
         # the norms and of the bound itself
         margins = 2 * (1 + 2.0**-20) * (
@@ -380,7 +384,7 @@ def _top_k(index: DenseIndex, queries: Sequence, k: int) -> list[list[RetrievalH
     # A screen costs about half of scoring every slab, so it runs only where a
     # query's top k leave more than half of the slabs without a candidate
     # (never on one slab).
-    if n <= 2 * k * _ROWS or not index._longest_row <= _SCREEN_ROW_MAX:
+    if n <= 2 * k * _ROWS or index._longest_row > _SCREEN_ROW_MAX:
         out = []
         for _, scores in _score_blocks(index, queries):
             for row in scores:
@@ -580,12 +584,7 @@ def load_index(path: str | Path) -> DenseIndex:
     raw = np.fromfile(sidecar_path(path), dtype="<f4")
     if raw.size != count * dim:
         raise ValueError(f"{path}: sidecar size mismatch")
-    raw = raw.reshape(count, dim)
-    # a float64 sum of float32 values cannot overflow, so it is finite
-    # exactly when every value of the row is
-    bad = np.flatnonzero(~np.isfinite(raw.sum(axis=1, dtype=np.float64)))
-    if bad.size:
-        pos = int(bad[0])
-        raise ValueError(f"{path}: entry {pos} ({doc_ids[pos]!r}) has a value that is not finite")
-    matrix = raw.astype(np.float64)
-    return DenseIndex(mode=mode, dim=dim, doc_ids=doc_ids, matrix=matrix)
+    try:
+        return DenseIndex(mode=mode, dim=dim, doc_ids=doc_ids, matrix=raw.reshape(count, dim))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -1,5 +1,6 @@
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -465,9 +466,9 @@ class TestRecall:
         assert json.loads((tmp_path / "recall.json").read_text()) == obj
 
 
-def screened_index(rows: int, dim: int, seed: int):
-    """Random unit rows with exact copies on both sides of every slab boundary
-    and a cluster of rows 1e-9 apart spread over every slab.
+def screened_index(rows: int, dim: int, dtype=np.float64, *, seed: int):
+    """Random unit rows of ``dtype`` with exact copies on both sides of every
+    slab boundary and a cluster of rows 1e-9 apart spread over every slab.
 
     Returns the index and queries: random ones, ones near the cluster (whose
     top hits are near-ties far below the float32 margin) and the rows that
@@ -485,6 +486,7 @@ def screened_index(rows: int, dim: int, seed: int):
     ]
     matrix[cluster] = center + 1e-9 * rng.standard_normal((len(cluster), dim))
     index = make_index(matrix.tolist())
+    index = replace(index, matrix=index.matrix.astype(dtype))
     near = center + 0.05 * rng.standard_normal((8, dim))
     straddling = [index.matrix[b + i] for b in range(slab, rows, slab) for i in (-1, 1)]
     queries = np.vstack([unit_queries(rng, 16, dim), near, straddling])
@@ -512,8 +514,9 @@ def as_tuples(hits) -> list[tuple[str, float, int]]:
     return [(h.doc_id, h.score, h.rank) for h in hits]
 
 
-# slabs of 512, 512 and 276 rows; and 12 slabs, on which a top 5 is screened
-SCREEN_SHAPES = [(1300, 64), (1300, 256), (6000, 32)]
+# slabs of 512, 512 and 276 rows; and 12 slabs, on which a top 5 is screened,
+# in float64 rows and in float32 rows as a loaded index holds them
+SCREEN_SHAPES = [(1300, 64), (1300, 256), (6000, 32), (6000, 32, np.float32)]
 
 
 class TestScreenedSearch:
@@ -605,3 +608,78 @@ def test_load_index_rejects_a_non_finite_entry(tmp_path):
     vec.tofile(tmp_path / "idx.vec")
     with pytest.raises(ValueError, match=r"entry 2 \('c'\) has a value that is not finite"):
         load_index(tmp_path / "idx.jsonl")
+
+
+class TestIndexRows:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad, dtype):
+        matrix = np.eye(4, dtype=dtype)
+        matrix[2] = bad
+        with pytest.raises(ValueError, match=r"entry 2 \('doc2'\) has a value that is not finite"):
+            DenseIndex(RetrievalMode.VISUAL, 4, ("doc0", "doc1", "doc2", "doc3"), matrix)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_finite_row_whose_sum_overflows_is_accepted(self):
+        matrix = np.eye(4)
+        matrix[1] = [1e308, 1e308, -1e308, 0.0]
+        index = DenseIndex(RetrievalMode.VISUAL, 4, ("a", "b", "c", "d"), matrix)
+        assert not index.matrix.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (16,), (4, 4, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"matrix shape .* is not \(4, 4\)"):
+            DenseIndex(RetrievalMode.VISUAL, 4, ("a", "b", "c", "d"), np.ones(shape))
+
+
+def widened(index: DenseIndex) -> DenseIndex:
+    return replace(index, matrix=index.matrix.astype(np.float64))
+
+
+class TestLoadedFloat32Rows:
+    """A loaded index holds its sidecar's float32 rows, and each canonical
+    product widens them exactly, so it scores as the same rows in float64."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        index, queries = screened_index(1300, 64, seed=37)
+        return save_index(index, tmp_path / "idx.jsonl"), queries
+
+    def test_matrix_is_the_sidecar_read_only_and_saves_the_same_bytes(self, saved, tmp_path):
+        path, _ = saved
+        loaded = load_index(path)
+        assert loaded.matrix.dtype == np.float32
+        assert not loaded.matrix.flags.writeable
+        again = save_index(loaded, tmp_path / "again.jsonl")
+        assert again.read_bytes() == path.read_bytes()
+        assert (tmp_path / "again.vec").read_bytes() == (tmp_path / "idx.vec").read_bytes()
+
+    def test_hits_equal_those_of_the_rows_in_float64(self, saved):
+        path, queries = saved
+        loaded = load_index(path)
+        wide = widened(loaded)
+        # 3 slabs: a top 1 is screened, a top 5 or 50 scores every slab
+        for k in (1, 5, 50):
+            expected = [as_tuples(h) for h in search_batch(wide, queries, k)]
+            for workers in (1, 2, 3):
+                found = search_batch(loaded, queries, k, workers)
+                assert [as_tuples(h) for h in found] == expected, (k, workers)
+
+    def test_gold_rank_and_recall_equal_those_of_the_rows_in_float64(self, saved):
+        path, queries = saved
+        loaded = load_index(path)
+        wide = widened(loaded)
+        golds = [search(wide, q, 3)[i % 3].doc_id for i, q in enumerate(queries)]
+        for q, gold in zip(queries, golds):
+            assert gold_rank(loaded, q, gold) == gold_rank(wide, q, gold)
+        pairs = list(zip(queries, golds))
+        assert recall_at_k(loaded, pairs, [1, 2, 3]) == recall_at_k(wide, pairs, [1, 2, 3])
+
+
+def test_longest_row_of_float32_rows_sums_its_squares_in_float64():
+    rows = np.random.default_rng(38).standard_normal((2000, 256)).astype(np.float32)
+    index = DenseIndex(RetrievalMode.VISUAL, 256, tuple(map(str, range(2000))), rows)
+    wide = rows.astype(np.float64)
+    expected = float(np.sqrt(np.einsum("ij,ij->i", wide, wide).max()))
+    # float32 sums would be off by about dim * 2**-24 of it
+    assert index._longest_row == pytest.approx(expected, rel=2.0**-45)
