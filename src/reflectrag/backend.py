@@ -133,9 +133,12 @@ class GenerativeBackend(Protocol):
     A backend whose class sets ``deterministic = True`` promises the same
     result for the same (prompt, allowed, max_tokens) step, so the engine
     may answer a sample's repeated step from memory
-    (:meth:`~reflectrag.engine.ReflectiveEngine.with_step_memo`). A backend
-    may also take independent steps together, as :func:`generate_each`
-    describes.
+    (:meth:`~reflectrag.engine.ReflectiveEngine.with_step_memo`). One that
+    sets ``in_process = True`` promises that a step never waits outside the
+    interpreter (no I/O, no native code that releases the lock), so threads
+    cannot overlap its steps and an evaluation runs them on the calling
+    thread (:func:`~reflectrag.harness.evaluate_configs`). A backend may also
+    take independent steps together, as :func:`generate_each` describes.
     """
 
     control_tokens: frozenset[str]
@@ -227,6 +230,7 @@ class MockBackend:
     """
 
     deterministic = True
+    in_process = True
 
     def __init__(self, control_tokens: Iterable[str] = CONTROL_TOKENS):
         self.control_tokens = frozenset(control_tokens)

@@ -443,7 +443,12 @@ def cmd_token_acc(args: argparse.Namespace, config: RunConfig) -> int:
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON run-config file")
     parser.add_argument("--seed", type=int, help="seed for all randomness (default 0)")
-    parser.add_argument("--jobs", type=int, help="parallel workers (default: CPU count)")
+    parser.add_argument(
+        "--jobs", type=int,
+        help="worker threads (default: CPU count); they share the batched search,"
+             " and run samples in parallel when a step waits outside the process:"
+             " --backend remote, an external reranker, or mining",
+    )
     parser.add_argument("--backend", choices=["mock", "remote", "rule"],
                         help="generative backend kind")
     parser.add_argument("--scripts", help="script file for the mock backend")

@@ -239,17 +239,22 @@ def evaluate_configs(
 ) -> list[EvalRun]:
     """Run every config over a dataset in one pass and score each config.
 
-    One task runs every config of one sample back to back; tasks run
-    independently (optionally in parallel) and are consumed in sample-id
-    order, so concurrency never changes the output. With more than one config
-    and a deterministic backend, each task asks each step of its sample once
+    One task runs every config of one sample back to back; tasks are
+    consumed in sample-id order, so concurrency never changes the output.
+    When the backend declares ``in_process = True`` and the engine has no
+    reranker, no step waits outside the interpreter, so the tasks run one
+    after another on the calling thread, where threads would only contend
+    for the interpreter lock. Otherwise up to ``jobs`` tasks run at once on a
+    thread pool, and if consuming their results fails, the tasks not yet
+    started are cancelled. With more than one config and a deterministic
+    backend, each task asks each step of its sample once
     (:meth:`ReflectiveEngine.with_step_memo`), and each distinct answer of a
     sample is scored once. The first sample that retrieves at a given k
     searches the index for every sample that can, in one batch shared among
-    the ``jobs`` workers (:meth:`ReflectiveEngine.with_batched_search`).
+    ``jobs`` threads on either path (:meth:`ReflectiveEngine.with_batched_search`).
 
     Without ``sinks`` each run keeps its trace dicts. With them, config i's
-    trace lines (JSON, newline-terminated, serialized in the worker) go to
+    trace lines (JSON, newline-terminated, serialized in the task) go to
     ``sinks[i]`` as samples complete, or nowhere when it is ``None``, and
     only :func:`score_fields` of each trace is held for scoring.
     """
@@ -290,9 +295,15 @@ def evaluate_configs(
                     sinks[i](kept + "\n")
                 scored[i].append(projected)
 
-    if jobs > 1:
+    in_process = getattr(engine.backend, "in_process", False) is True
+    if jobs > 1 and not (in_process and engine.reranker is None):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            consume(pool.map(run_sample, ordered))
+            try:
+                consume(pool.map(run_sample, ordered))
+            except BaseException:
+                # map submitted every sample; leaving the block would wait for all
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         consume(map(run_sample, ordered))
 

@@ -315,13 +315,16 @@ def _score_blocks(index: DenseIndex, queries: Sequence, jobs=None):
     wide = np.empty((_ROWS, index.dim))
     product = np.empty((_ROWS, _BLOCK))
     scores = np.empty((_BLOCK, len(index)))
+    widened = None  # the start of the slab ``wide`` holds
     for ids, slabs in jobs:
         m = len(ids)
         block[:m] = [queries[i] for i in ids]
         block[m:] = 0.0
         for r in slabs:
             rows = wide[: min(_ROWS, len(index) - r)]
-            rows[...] = index.matrix[r : r + _ROWS]
+            if r != widened:
+                rows[...] = index.matrix[r : r + _ROWS]
+                widened = r
             np.matmul(rows, block.T, out=product[: len(rows)])
             scores[:m, r : r + len(rows)] = product[: len(rows), :m].T
         yield ids, scores[:m]

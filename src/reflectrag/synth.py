@@ -210,6 +210,7 @@ class RuleBackend:
     """
 
     deterministic = True
+    in_process = True
 
     def __init__(
         self,

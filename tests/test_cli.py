@@ -683,6 +683,16 @@ def test_reference_server_writes_the_rule_backend_bytes(block_corpus, reference_
         assert (tmp_path / "remote" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
 
 
+def test_reference_server_jobs_write_identical_bytes(block_corpus, reference_server, tmp_path):
+    # a remote backend runs its samples on --jobs threads, unlike the rule one
+    for jobs in (1, 4):
+        assert run(eval_args(block_corpus, block_corpus[2], tmp_path / f"j{jobs}",
+                             "--jobs", jobs, "--variants", "full,always_ret",
+                             "--backend", "remote", "--endpoint", reference_server)) == 0
+    for name in ("eval_report.json", "traces_full.jsonl", "traces_always_ret.jsonl"):
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j4" / name).read_bytes()
+
+
 def test_reference_server_answers_pipelined_requests_in_order(block_corpus, reference_server):
     samples = load_samples(block_corpus[2])
     rule = RuleBackend.from_samples(samples)

@@ -1,5 +1,9 @@
+import errno
 import json
 import sys
+import threading
+import time
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +40,37 @@ def small_run():
     return suite, engine
 
 
+class Recording:
+    """The rule backend's steps, each after ``delay`` seconds of sleep, as a
+    remote backend takes them. It records the threads its steps ran on and
+    does not declare ``in_process``, so an evaluation runs it on a thread
+    pool."""
+
+    deterministic = True
+
+    def __init__(self, inner, delay=0.0005):
+        self.inner = inner
+        self.control_tokens = inner.control_tokens
+        self.delay = delay
+        self.threads = set()
+
+    def constrained_generate(self, prompt, allowed=None, max_tokens=None):
+        self.threads.add(threading.get_ident())
+        time.sleep(self.delay)
+        return self.inner.constrained_generate(prompt, allowed, max_tokens)
+
+
+class InProcess(Recording):
+    in_process = True
+
+
+def with_backend(engine, backend):
+    return ReflectiveEngine(
+        backend, kb=engine.kb, index=engine.index,
+        similarity_scorer=engine.similarity_scorer, reranker=engine.reranker,
+    )
+
+
 class TestEvaluate:
     def test_report_structure(self, small_run):
         suite, engine = small_run
@@ -53,20 +88,33 @@ class TestEvaluate:
         assert stats["fallback_rate"] == pytest.approx(2 / 16)
 
     def test_parallel_is_deterministic(self, small_run):
-        suite, engine = small_run
-        serial = evaluate_dataset(
-            engine, suite.samples, PipelineConfig(seed=3), jobs=1, include_timings=False
-        )
-        parallel = evaluate_dataset(
-            engine, suite.samples, PipelineConfig(seed=3), jobs=6, include_timings=False
-        )
-        assert serial.traces == parallel.traces
-        assert serial.report.to_dict() == parallel.report.to_dict()
+        suite, rule_engine = small_run
+        pooled = Recording(rule_engine.backend)
+        # the rule backend runs on the calling thread, the other on a pool
+        for engine in (rule_engine, with_backend(rule_engine, pooled)):
+            serial = evaluate_dataset(
+                engine, suite.samples, PipelineConfig(seed=3), jobs=1, include_timings=False
+            )
+            parallel = evaluate_dataset(
+                engine, suite.samples, PipelineConfig(seed=3), jobs=6, include_timings=False
+            )
+            assert serial.traces == parallel.traces
+            assert serial.report.to_dict() == parallel.report.to_dict()
+        assert len(pooled.threads) > 1
 
     def test_one_batched_search_per_dataset(self, small_run, monkeypatch):
+        suite, rule_engine = small_run
+        pooled = Recording(rule_engine.backend)
+        # the rule backend runs on the calling thread, the other on a pool
+        # whose workers look up the hit table concurrently
+        for engine in (rule_engine, with_backend(rule_engine, pooled)):
+            self.check_one_batched_search_per_dataset(suite, engine, monkeypatch)
+        assert len(pooled.threads) > 1
+
+    @staticmethod
+    def check_one_batched_search_per_dataset(suite, engine, monkeypatch):
         import reflectrag.engine as engine_mod
 
-        suite, engine = small_run
         batches, workers = [], []
         real = engine_mod.search_batch
 
@@ -109,6 +157,53 @@ class TestEvaluate:
         assert not any(run.failures for run in runs)
         assert runs[0].traces == serial.traces
         assert batches == [len(suite.samples)] * 4
+        monkeypatch.undo()
+
+    def test_in_process_backend_runs_on_the_calling_thread(self, small_run, monkeypatch):
+        import reflectrag.engine as engine_mod
+
+        suite, rule_engine = small_run
+        backend = InProcess(rule_engine.backend, delay=0.0)
+        workers = []
+        real = engine_mod.search_batch
+
+        def recording(index, queries, k, jobs=1):
+            workers.append(jobs)
+            return real(index, queries, k, jobs)
+
+        monkeypatch.setattr(engine_mod, "search_batch", recording)
+        run = evaluate_dataset(with_backend(rule_engine, backend), suite.samples,
+                               PipelineConfig(seed=3), jobs=4, include_timings=False)
+        assert not run.failures
+        assert backend.threads == {threading.get_ident()}
+        assert workers == [4]  # the search burst keeps its --jobs threads
+
+    def test_consumer_failure_cancels_the_samples_not_started(self, small_run, monkeypatch):
+        suite, rule_engine = small_run
+        samples = [replace(s, id=f"{s.id}-{n:02d}") for n in range(15) for s in suite.samples]
+        first = min(s.id for s in samples)
+        released = threading.Event()
+        started = []
+        real = ReflectiveEngine.run
+
+        def gated(engine, sample, config):
+            # every sample but the first waits until the consumer fails
+            started.append(sample.id)
+            if sample.id != first:
+                released.wait(timeout=10)
+            return real(engine, sample, config)
+
+        def full_disk(line):
+            released.set()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(ReflectiveEngine, "run", gated)
+        engine = with_backend(rule_engine, Recording(rule_engine.backend))
+        with pytest.raises(OSError):
+            evaluate_configs(engine, samples, [PipelineConfig(seed=3)], jobs=4,
+                             include_timings=False, sinks=[full_disk])
+        # the samples running when the sink failed finish; the rest never start
+        assert len(started) < len(samples) // 2
 
     def test_rescoring_trace_file_is_pure(self, small_run, tmp_path):
         suite, engine = small_run
