@@ -1,7 +1,9 @@
 """JSON-over-HTTP transport shared by the remote clients.
 
 A :class:`ServiceClient` holds one service's endpoint, timeout and retry
-policy; the remote backend, reranker and embedder send through one.
+policy; the remote backend, reranker and embedder send through one. Each of
+them encodes its own request bodies, and the transport carries those bytes
+as they are, resends included; it decodes the JSON of each reply.
 
 Calls reuse keep-alive connections from one process-wide pool per
 (scheme, host, port). The pool keeps every connection given back to it, and
@@ -411,13 +413,14 @@ def _decode(url: str, status: int, data: bytes) -> dict:
 
 def post_json(
     url: str,
-    payload: dict,
+    body: bytes,
     timeout: float = 30.0,
     max_retries: int = 3,
     backoff: float = 0.25,
 ) -> dict:
+    """POST the encoded JSON ``body`` to ``url`` with retries; returns the
+    JSON object of the reply."""
     origin, target = _route(url)
-    body = json.dumps(payload, allow_nan=False).encode("utf-8")
     attempts = 0
     last_error = "no attempt made"
     while attempts < max(1, max_retries):
@@ -453,39 +456,38 @@ class ServiceClient:
         self.max_retries = max_retries
         self.backoff = backoff
 
-    def post(self, route: str, payload: dict) -> dict:
-        """POST ``payload`` to ``{endpoint}{route}``; returns the JSON object."""
+    def post(self, route: str, body: bytes) -> dict:
+        """POST the encoded JSON ``body`` to ``{endpoint}{route}``; returns
+        the JSON object of the reply."""
         return post_json(
-            self.endpoint + route, payload, self.timeout, self.max_retries, self.backoff
+            self.endpoint + route, body, self.timeout, self.max_retries, self.backoff
         )
 
-    def post_all(self, route: str, payloads: Sequence[dict]) -> list[dict | Exception]:
-        """POST every payload to ``{endpoint}{route}`` pipelined over up to
+    def post_all(self, route: str, bodies: Sequence[bytes]) -> list[dict | Exception]:
+        """POST every encoded body to ``{endpoint}{route}`` pipelined over up to
         :data:`LANES` connections (:meth:`_Origin.post_lanes`); returns, in
         order, each JSON object or the error of its entry.
 
         A 3xx or 4xx reply, and a 2xx body that is not a JSON object, is that
         entry's :class:`RemoteServiceError`. Unanswered and 5xx entries are
         sent again one at a time through :func:`post_json`, in order, each
-        with its retry budget; the first :class:`TransportError` ends that,
-        and every later entry still to send carries it.
+        with its retry budget and the bytes it was first sent with; the first
+        :class:`TransportError` ends that, and every later entry still to send
+        carries it.
         """
         url = self.endpoint + route
         origin, target = _route(url)
-        replies = origin.post_lanes(
-            target, [json.dumps(p, allow_nan=False).encode("utf-8") for p in payloads],
-            self.timeout,
-        )
+        replies = origin.post_lanes(target, bodies, self.timeout)
         results: list[dict | Exception] = []
         failed: TransportError | None = None
-        for payload, reply in zip(payloads, replies):
+        for body, reply in zip(bodies, replies):
             try:
                 if not isinstance(reply, Exception) and reply[0] < 500:
                     results.append(_decode(url, *reply))
                 elif failed is not None:
                     results.append(failed)
                 else:
-                    results.append(self.post(route, payload))
+                    results.append(self.post(route, body))
             except TransportError as exc:
                 results.append(failed := exc)
             except RemoteServiceError as exc:

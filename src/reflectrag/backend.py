@@ -13,11 +13,13 @@ Wire protocol (POST {endpoint}/v1/generate)::
     response {"tokens": [str], "chosen_logprobs": [float],
               "candidates": [{token: logprob}, ...]}
 
-Both halves live here. Client: :class:`RemoteBackend` sends a step and
-validates the response; a wrong shape or JSON type is a
-:class:`ProtocolViolationError`. Server: :func:`serve_generate` runs a
-request on any backend and returns the response body; a request of the
-wrong shape is a :class:`GenerateRequestError`, answered with HTTP 400. A
+Both halves live here. Client: :class:`RemoteBackend` writes a step's
+request body straight from the prompt's segments, the bytes ``json.dumps``
+writes for the request object, sends it and validates the response; a
+wrong shape or JSON type is a :class:`ProtocolViolationError`. Server:
+:func:`serve_generate` runs a request on any backend and returns the
+response body; a request of the wrong shape is a
+:class:`GenerateRequestError`, answered with HTTP 400. A
 well-formed step that the server's backend cannot produce (it raised a
 :class:`BackendError`) is answered with HTTP 422 and ``{"error": str}``;
 the client raises it as a :class:`BackendError`, so it costs one judgment,
@@ -35,6 +37,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _escape
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
@@ -205,13 +208,6 @@ class ScriptedResponse:
     candidates: tuple[Mapping[str, float], ...] | None = None
 
 
-@dataclass(frozen=True)
-class CallRecord:
-    fingerprint: str
-    allowed: frozenset[str] | None
-    max_tokens: int | None
-
-
 @dataclass
 class _ScriptRule:
     matcher: PromptMatcher
@@ -235,7 +231,6 @@ class MockBackend:
     def __init__(self, control_tokens: Iterable[str] = CONTROL_TOKENS):
         self.control_tokens = frozenset(control_tokens)
         self._rules: list[_ScriptRule] = []
-        self.calls: list[CallRecord] = []  # appended under the GIL; test aid
 
     def register_script(
         self,
@@ -277,9 +272,6 @@ class MockBackend:
         max_tokens: int | None = None,
     ) -> GenerationResult:
         allowed_set = None if allowed is None else frozenset(allowed)
-        self.calls.append(
-            CallRecord(prompt_fingerprint(prompt), allowed_set, max_tokens)
-        )
         rule = self._find(prompt, allowed_set)
         if rule.failure is not None:
             raise BackendError(rule.failure)
@@ -399,7 +391,7 @@ class RemoteBackend:
         allowed_set = None if allowed is None else frozenset(allowed)
         try:
             body = self.client.post(
-                "/v1/generate", _generate_request(prompt, allowed_set, max_tokens)
+                "/v1/generate", _generate_bodies([prompt], allowed_set, max_tokens)[0]
             )
         except RemoteServiceError as exc:
             body = exc
@@ -418,7 +410,7 @@ class RemoteBackend:
         first in prompt order."""
         allowed_set = None if allowed is None else frozenset(allowed)
         bodies = self.client.post_all(
-            "/v1/generate", [_generate_request(p, allowed_set, max_tokens) for p in prompts]
+            "/v1/generate", _generate_bodies(prompts, allowed_set, max_tokens)
         )
         results: list[GenerationResult | BackendError] = []
         for body in bodies:
@@ -429,14 +421,27 @@ class RemoteBackend:
         return results
 
 
-def _generate_request(
-    prompt: Sequence[PromptSegment], allowed: frozenset[str] | None, max_tokens: int | None
-) -> dict:
-    return {
-        "segments": [s.to_dict() for s in prompt],
-        "allowed_tokens": sorted(allowed) if allowed is not None else None,
-        "max_tokens": max_tokens,
-    }
+# Each segment's JSON object up to its payload, as json.dumps writes it.
+_SEGMENT_HEADS = {k: '{"kind": %s, "payload": ' % _escape(k.value) for k in SegmentKind}
+
+
+def _generate_bodies(
+    prompts: Iterable[Sequence[PromptSegment]],
+    allowed: frozenset[str] | None,
+    max_tokens: int | None,
+) -> list[bytes]:
+    """The request body of each prompt's step: byte for byte what
+    ``json.dumps(request, allow_nan=False)`` writes for the request object of
+    the wire protocol, with each payload escaped as ``json.dumps`` does."""
+    tail = json.dumps(
+        {"allowed_tokens": None if allowed is None else sorted(allowed), "max_tokens": max_tokens},
+        allow_nan=False,
+    )[1:]
+    bodies = []
+    for prompt in prompts:
+        segments = ", ".join([_SEGMENT_HEADS[s.kind] + _escape(s.payload) + "}" for s in prompt])
+        bodies.append(f'{{"segments": [{segments}], {tail}'.encode())
+    return bodies
 
 
 def _generation_result(
@@ -540,7 +545,6 @@ def serve_generate(backend: GenerativeBackend, request: dict) -> dict:
 
 __all__ = [
     "BackendError",
-    "CallRecord",
     "ConformanceError",
     "GenerateRequestError",
     "GenerationResult",

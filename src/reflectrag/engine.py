@@ -182,16 +182,14 @@ class RemotePassageReranker:
         self.client = client
 
     def rerank(self, question: str, passages: Sequence[Passage]) -> Sequence[Passage]:
-        body = self.client.post(
-            "/v1/rerank",
-            {
-                "question": question,
-                "passages": [
-                    {"doc_id": p.doc_id, "section_index": p.section_index, "text": p.text}
-                    for p in passages
-                ],
-            },
-        )
+        request = {
+            "question": question,
+            "passages": [
+                {"doc_id": p.doc_id, "section_index": p.section_index, "text": p.text}
+                for p in passages
+            ],
+        }
+        body = self.client.post("/v1/rerank", json.dumps(request).encode())
         order = body.get("order")
         if not (
             isinstance(order, list)

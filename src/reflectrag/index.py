@@ -96,7 +96,7 @@ class RemoteTextEmbedder:
         self.client = client
 
     def embed(self, text: str) -> np.ndarray:
-        body = self.client.post("/v1/embed", {"texts": [text]})
+        body = self.client.post("/v1/embed", json.dumps({"texts": [text]}).encode())
         vector = body["embeddings"][0]
         # Exact types: numpy would read "0.6" and true as numbers.
         if not isinstance(vector, list) or any(type(x) not in (int, float) for x in vector):

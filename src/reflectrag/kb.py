@@ -148,7 +148,11 @@ def _as_unit_embedding(values, dim: int, doc_id: str, line_no: int) -> np.ndarra
     return arr
 
 
-def _parse_document(obj: dict, dim: int, line_no: int) -> Document:
+def _parse_document(
+    obj: dict, dim: int, line_no: int, row: np.ndarray | None = None, row_cleared: bool = False
+) -> Document:
+    """The document of one KB line; in sidecar mode ``row`` is its sidecar
+    row, whose norm is checked unless ``row_cleared``."""
     for key in ("id", "title", "summary", "sections", "image_embedding"):
         if key not in obj:
             raise KBLoadError(f"missing required key {key!r}", line_no)
@@ -171,6 +175,12 @@ def _parse_document(obj: dict, dim: int, line_no: int) -> Document:
         sections.append(Section(title=str(sec["title"]), text=str(sec["text"])))
     emb = obj["image_embedding"]
     embedding = None if emb is None else _as_unit_embedding(emb, dim, doc_id, line_no)
+    if row is not None:
+        if embedding is not None:
+            raise KBLoadError(
+                f"document {doc_id!r}: inline embedding present in sidecar mode", line_no
+            )
+        embedding = row if row_cleared else _as_unit_embedding(row, dim, doc_id, line_no)
     return Document(
         id=doc_id,
         title=title,
@@ -243,17 +253,10 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise KBLoadError(f"malformed JSON: {exc.msg}", line_no) from exc
-        doc = _parse_document(obj, dim, line_no)
-        if storage == "sidecar":
-            if doc.image_embedding is not None:
-                raise KBLoadError(
-                    f"document {doc.id!r}: inline embedding present in sidecar mode",
-                    line_no,
-                )
-            emb = sidecar[row]
-            if not cleared[row]:
-                emb = _as_unit_embedding(emb, dim, doc.id, line_no)
-            doc = Document(doc.id, doc.title, doc.summary, doc.sections, emb)
+        if sidecar is None:
+            doc = _parse_document(obj, dim, line_no)
+        else:
+            doc = _parse_document(obj, dim, line_no, sidecar[row], cleared[row])
         if doc.id in documents:
             raise KBLoadError(f"duplicate document id {doc.id!r}", line_no)
         if doc.image_embedding is None:

@@ -54,6 +54,14 @@ class PromptBuildError(ValueError):
     """Stage/passage arity mismatch."""
 
 
+_SYSTEM = PromptSegment(SegmentKind.SYSTEM, SYSTEM_MESSAGE)
+_ASSISTANT_START = PromptSegment(SegmentKind.ASSISTANT_START, "")
+_NORET = PromptSegment(SegmentKind.CONTROL_TOKEN, ReflectiveToken.NORET.value)
+_RET = PromptSegment(SegmentKind.CONTROL_TOKEN, ReflectiveToken.RET.value)
+_CONSIDER = PromptSegment(SegmentKind.USER_TEXT, CONSIDER_PARAGRAPH)
+_SHORT_ANSWER = PromptSegment(SegmentKind.USER_TEXT, SHORT_ANSWER_INSTRUCTION)
+
+
 def build_prompt(
     stage: PromptStage,
     question: str,
@@ -64,24 +72,26 @@ def build_prompt(
 
     Judgment prompts embed exactly one passage; answer-with-passages prompts
     embed one block per selected passage, each wrapped in paragraph markers by
-    the renderer/backend.
+    the renderer/backend. Every call returns a fresh list, but the segments
+    that never vary (system message, control tokens, fixed instructions) are
+    shared between prompts, which is safe because :class:`PromptSegment` is
+    frozen.
     """
-    base = [
-        PromptSegment(SegmentKind.SYSTEM, SYSTEM_MESSAGE),
+    segments = [
+        _SYSTEM,
         PromptSegment(SegmentKind.IMAGE_REF, image_ref),
         PromptSegment(SegmentKind.USER_TEXT, question),
-        PromptSegment(SegmentKind.ASSISTANT_START, ""),
+        _ASSISTANT_START,
     ]
     if stage is PromptStage.DECISION:
         if passage_texts:
             raise PromptBuildError("decision prompt takes no passages")
-        return base
+        return segments
     if stage is PromptStage.ANSWER_DIRECT:
         if passage_texts:
             raise PromptBuildError("direct-answer prompt takes no passages")
-        return base + [
-            PromptSegment(SegmentKind.CONTROL_TOKEN, ReflectiveToken.NORET.value)
-        ]
+        segments.append(_NORET)
+        return segments
     if passage_texts is None:
         raise PromptBuildError(f"{stage.value} prompt requires passages")
     passages = list(passage_texts)
@@ -91,13 +101,9 @@ def build_prompt(
         )
     if stage is PromptStage.ANSWER_WITH_PASSAGES and not passages:
         raise PromptBuildError("answer prompt requires at least one passage")
-    segments = base + [
-        PromptSegment(SegmentKind.CONTROL_TOKEN, ReflectiveToken.RET.value),
-        PromptSegment(SegmentKind.USER_TEXT, CONSIDER_PARAGRAPH),
-    ]
+    segments += (_RET, _CONSIDER)
     segments.extend(PromptSegment(SegmentKind.PASSAGE_BLOCK, text) for text in passages)
-    segments.append(PromptSegment(SegmentKind.USER_TEXT, SHORT_ANSWER_INSTRUCTION))
-    segments.append(PromptSegment(SegmentKind.ASSISTANT_START, ""))
+    segments += (_SHORT_ANSWER, _ASSISTANT_START)
     return segments
 
 

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from reflectrag import _http
+
 ROOT = Path(__file__).resolve().parent.parent
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -37,6 +39,18 @@ class SyntheticFiles:
     index: Path
     dataset: Path
     expectations: Path
+
+
+@pytest.fixture(autouse=True)
+def close_idle_connections():
+    """Closes the transport's pooled idle connections after each test, so
+    none is left for the garbage collector to drop unclosed."""
+    yield
+    for origin in list(_http._origins.values()):
+        with origin._lock:
+            idle, origin._idle = origin._idle, []
+        for sock, rfile in idle:
+            _http._close(sock, rfile)
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from reflectrag.backend import (
+    GenerationResult,
     MockBackend,
     PromptMatcher,
     ScriptedResponse,
@@ -34,6 +35,7 @@ from reflectrag.engine import (
 )
 from reflectrag.index import DenseIndex, RetrievalMode, build_index
 from reflectrag.kb import Document, KnowledgeBase, Passage, Section, SourceManifest
+from reflectrag.prompts import PromptSegment, prompt_fingerprint
 from reflectrag.samples import QuerySample
 from reflectrag.similarity import LexicalOverlapScorer
 from reflectrag.tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
@@ -506,8 +508,32 @@ def scenarios() -> list[Scenario]:
     return out
 
 
-def build_backend(scenario: Scenario) -> MockBackend:
-    backend = MockBackend()
+@dataclass(frozen=True)
+class CallRecord:
+    fingerprint: str
+    allowed: frozenset[str] | None
+
+
+class RecordingMockBackend(MockBackend):
+    """A :class:`MockBackend` that logs every step it is asked, in ``calls``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls: list[CallRecord] = []
+
+    def constrained_generate(
+        self,
+        prompt: Sequence[PromptSegment],
+        allowed: Iterable[str] | None = None,
+        max_tokens: int | None = None,
+    ) -> GenerationResult:
+        allowed = None if allowed is None else frozenset(allowed)
+        self.calls.append(CallRecord(prompt_fingerprint(prompt), allowed))
+        return super().constrained_generate(prompt, allowed, max_tokens)
+
+
+def build_backend(scenario: Scenario) -> RecordingMockBackend:
+    backend = RecordingMockBackend()
     for script in scenario.failures:
         backend.register_failure(
             _matcher(script.match), "injected judgment failure", script.allowed
@@ -523,7 +549,7 @@ def build_backend(scenario: Scenario) -> MockBackend:
 
 def run_scenario(
     kb: KnowledgeBase, index: DenseIndex, scenario: Scenario, sample_id: str
-) -> tuple[PipelineTrace, MockBackend]:
+) -> tuple[PipelineTrace, RecordingMockBackend]:
     backend = build_backend(scenario)
     engine = ReflectiveEngine(
         backend,
@@ -540,7 +566,7 @@ def run_scenario(
     return trace, backend
 
 
-def run_all() -> list[tuple[Scenario, PipelineTrace, MockBackend]]:
+def run_all() -> list[tuple[Scenario, PipelineTrace, RecordingMockBackend]]:
     kb = build_kb()
     index = build_index(kb, RetrievalMode.VISUAL)
     out = []

@@ -21,7 +21,8 @@ class StubServer:
     and keeps connections open between requests; otherwise each response
     closes its connection. ``connections`` counts the connections accepted.
     ``requests`` holds every (path, payload) in the order the stub read
-    them, and ``by_connection`` each connection's payloads in that order,
+    them, ``bodies`` the raw bytes of each of those request bodies, and
+    ``by_connection`` each connection's payloads in that order,
     one list per connection. A handler that raises gets HTTP 500, and its
     exception goes to ``errors`` and fails the ``with`` block on exit, which
     waits for every handler to return, so an exception raised after the
@@ -32,6 +33,7 @@ class StubServer:
     def __init__(self, handler: Handler, keep_alive: bool = False):
         self.handler = handler
         self.requests: list[tuple[str, dict]] = []
+        self.bodies: list[bytes] = []
         self.connections = 0
         self.by_connection: list[list[dict]] = []
         self.errors: list[Exception] = []
@@ -65,8 +67,11 @@ class StubServer:
             def do_POST(self):  # noqa: N802 (http.server API)
                 try:
                     length = int(self.headers.get("Content-Length", 0))
-                    payload = json.loads(self.rfile.read(length) or b"{}")
-                    outer.requests.append((self.path, payload))
+                    raw = self.rfile.read(length)
+                    payload = json.loads(raw or b"{}")
+                    with outer._lock:  # so requests[i] and bodies[i] agree
+                        outer.requests.append((self.path, payload))
+                        outer.bodies.append(raw)
                     self.arrivals.append(payload)
                     status, body, *headers = outer.handler(self.path, payload)
                 except Exception as exc:  # noqa: BLE001 - __exit__ fails the test

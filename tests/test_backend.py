@@ -1,8 +1,11 @@
+import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflectrag import _http
 from reflectrag.backend import (
@@ -18,6 +21,7 @@ from reflectrag.backend import (
     ServiceClient,
     TransportError,
     UnscriptedPromptError,
+    _generate_bodies,
     check_backend_conformance,
     load_script_file,
     match_user_text,
@@ -26,7 +30,13 @@ from reflectrag.backend import (
 )
 from reflectrag.engine import judge_passages
 from reflectrag.kb import Passage
-from reflectrag.prompts import PromptStage, build_prompt, prompt_fingerprint
+from reflectrag.prompts import (
+    PromptSegment,
+    PromptStage,
+    SegmentKind,
+    build_prompt,
+    prompt_fingerprint,
+)
 from reflectrag.samples import QuerySample
 from reflectrag.synth import RuleBackend
 from reflectrag.tokens import CONTROL_TOKENS, DECISION_TOKENS, RELEVANCE_TOKENS
@@ -254,6 +264,42 @@ class TestRemoteBackend:
             "max_tokens": 1,
         })
 
+    def test_request_bodies_are_the_bytes_json_dumps_writes(self):
+        """The raw body of every stage's request, the pipelined judgments
+        included, is ``json.dumps`` of its request object, byte for byte."""
+        question = 'Who built the "mill"?\\ \t\x00\x1f caf\u00e9 \u2028 \U0001F3ED \ud800'
+        passages = ["Tobias Fenn \"built\" it.\n", "A river runs past. \udfff"]
+        steps = [
+            (build_prompt(PromptStage.DECISION, question, "img-1"), DECISION_TOKENS, 1),
+            (build_prompt(PromptStage.ANSWER_WITH_PASSAGES, question, "img-1", passages),
+             None, None),
+            (build_prompt(PromptStage.ANSWER_DIRECT, question, "img-\u00e9"), None, 7),
+        ]
+        judgments = [build_prompt(PromptStage.JUDGMENT, question, "img-1", [p]) for p in passages]
+
+        def canned(path, payload):
+            token = (payload["allowed_tokens"] or ["an answer"])[0]
+            return 200, {"tokens": [token], "chosen_logprobs": [0.0], "candidates": [{token: 0.0}]}
+
+        def dumped(prompt, allowed, max_tokens):
+            return json.dumps({
+                "segments": [s.to_dict() for s in prompt],
+                "allowed_tokens": None if allowed is None else sorted(allowed),
+                "max_tokens": max_tokens,
+            }, allow_nan=False).encode()
+
+        with StubServer(canned, keep_alive=True) as server:
+            remote = RemoteBackend(ServiceClient(server.endpoint, timeout=5, max_retries=1))
+            for step in steps:
+                remote.constrained_generate(*step)
+            results = remote.constrained_generate_each(judgments, RELEVANCE_TOKENS, 1)
+        assert all(isinstance(r, GenerationResult) for r in results)
+        assert server.bodies[:3] == [dumped(*step) for step in steps]
+        # The judgments go over one lane each, so they may arrive in any order.
+        assert sorted(server.bodies[3:]) == sorted(
+            dumped(p, RELEVANCE_TOKENS, 1) for p in judgments
+        )
+
     def test_constraint_violation_raises(self):
         def handler(path, payload):
             return 200, {
@@ -343,6 +389,34 @@ class TestRemoteBackend:
 
 
 SEGMENTS = [{"kind": "user_text", "payload": QUESTION}]
+
+
+_AWKWARD_TEXT = st.text(st.one_of(
+    st.characters(exclude_categories=()),
+    st.characters(categories=["Cs"]),  # lone surrogates
+    st.sampled_from('"\\/\x00\x1f\x7f\u2028\U0001F3ED'),
+))
+
+
+@settings(deadline=None)
+@given(
+    prompts=st.lists(
+        st.lists(st.builds(PromptSegment, st.sampled_from(SegmentKind), _AWKWARD_TEXT),
+                 max_size=10),
+        max_size=3,
+    ),
+    allowed=st.none() | st.frozensets(st.sampled_from(sorted(CONTROL_TOKENS))),
+    max_tokens=st.none() | st.integers(),
+)
+def test_request_body_writer_matches_json_dumps(prompts, allowed, max_tokens):
+    assert _generate_bodies(prompts, allowed, max_tokens) == [
+        json.dumps({
+            "segments": [s.to_dict() for s in prompt],
+            "allowed_tokens": None if allowed is None else sorted(allowed),
+            "max_tokens": max_tokens,
+        }, allow_nan=False).encode()
+        for prompt in prompts
+    ]
 
 
 @pytest.mark.parametrize(

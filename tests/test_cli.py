@@ -727,7 +727,7 @@ def test_remote_stage2_mining_writes_the_rule_backend_bytes(block_corpus, refere
 def test_reference_server_refuses_a_malformed_request_with_400(reference_server):
     client = ServiceClient(reference_server, timeout=5, max_retries=3)
     with pytest.raises(RemoteServiceError, match=r"segments\[0\]\.kind") as exc_info:
-        client.post("/v1/generate", {"segments": [{"kind": "bogus", "payload": ""}]})
+        client.post("/v1/generate", b'{"segments": [{"kind": "bogus", "payload": ""}]}')
     assert exc_info.value.status == 400
 
 

@@ -141,7 +141,7 @@ def test_step_missing_a_logprob_fails_at_its_scope(stage, caplog):
 
 def test_step_memo_asks_each_step_once_and_a_failed_step_again():
     q = "Describe the copper deck. (memo)"
-    backend = MockBackend()
+    backend = suite.RecordingMockBackend()
     backend.register_script(
         match_user_text(q), ScriptedResponse(("<RET>",), (suite.dec(0.9),)),
         allowed=DECISION_TOKENS,

@@ -21,6 +21,14 @@ from reflectrag._http import RemoteServiceError, TransportError, post_json
 from stub_server import StubServer
 
 
+def encode(payload) -> bytes:
+    return json.dumps(payload).encode()
+
+
+def encode_all(payloads) -> list[bytes]:
+    return [encode(p) for p in payloads]
+
+
 def echo(path, payload):
     return 200, {"path": path, "payload": payload}
 
@@ -28,7 +36,7 @@ def echo(path, payload):
 def test_sequential_calls_share_one_connection():
     with StubServer(echo, keep_alive=True) as server:
         for i in range(5):
-            body = post_json(f"{server.endpoint}/v1/embed", {"i": i}, timeout=5)
+            body = post_json(f"{server.endpoint}/v1/embed", encode({"i": i}), timeout=5)
             assert body == {"path": "/v1/embed", "payload": {"i": i}}
         assert server.connections == 1
 
@@ -36,10 +44,10 @@ def test_sequential_calls_share_one_connection():
 def test_connection_dropped_while_idle_is_replaced_without_an_attempt():
     with StubServer(echo, keep_alive=True) as server:
         url = f"{server.endpoint}/v1/embed"
-        assert post_json(url, {"i": 0}, timeout=5)["payload"] == {"i": 0}
+        assert post_json(url, encode({"i": 0}), timeout=5)["payload"] == {"i": 0}
         server.drop_connections()
         # One attempt and no backoff: only the immediate reconnect can succeed.
-        assert post_json(url, {"i": 1}, timeout=5, max_retries=1)["payload"] == {"i": 1}
+        assert post_json(url, encode({"i": 1}), timeout=5, max_retries=1)["payload"] == {"i": 1}
         assert server.connections == 2
 
 
@@ -50,7 +58,7 @@ def test_http_proxy_receives_absolute_form_target(monkeypatch):
         for name in ("no_proxy", "NO_PROXY"):
             monkeypatch.delenv(name, raising=False)
         url = "http://model-server.invalid:8008/v1/generate?x=1"
-        body = post_json(url, {"i": 0}, timeout=5, max_retries=1)
+        body = post_json(url, encode({"i": 0}), timeout=5, max_retries=1)
     assert body["path"] == url
 
 
@@ -65,7 +73,7 @@ def test_concurrent_calls_never_share_a_connection():
             def run(worker):
                 for i in range(calls):
                     payload = {"worker": worker, "i": i}
-                    assert post_json(url, payload, timeout=10)["payload"] == payload
+                    assert post_json(url, encode(payload), timeout=10)["payload"] == payload
 
             with ThreadPoolExecutor(workers) as pool:
                 for future in [pool.submit(run, w) for w in range(workers)]:
@@ -147,7 +155,7 @@ def ok(version: bytes = b"1.1") -> bytes:
 )
 def test_body_framing(reply):
     with CannedServer(reply) as server:
-        assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {"ok": 1}
+        assert post_json(server.endpoint + "/v1/x", b"{}", timeout=5, max_retries=1) == {"ok": 1}
 
 
 def test_no_content_response_has_no_body():
@@ -170,7 +178,8 @@ def test_keep_alive_rules_decide_pooling():
     ]
     with CannedServer(*replies) as server:
         for _ in replies:
-            assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {"ok": 1}
+            reply = post_json(server.endpoint + "/v1/x", b"{}", timeout=5, max_retries=1)
+            assert reply == {"ok": 1}
         assert server.connections == 3
 
 
@@ -206,7 +215,7 @@ def test_broken_response_raises_and_is_retried(reply, error):
         with pytest.raises(error):
             origin.post(target, b"{}", 5)
         with pytest.raises(TransportError) as exc_info:
-            post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=2, backoff=0)
+            post_json(server.endpoint + "/v1/x", b"{}", timeout=5, max_retries=2, backoff=0)
         assert exc_info.value.attempts == 2
         assert len(server.heads) == server.connections == 3
 
@@ -214,20 +223,20 @@ def test_broken_response_raises_and_is_retried(reply, error):
 def test_header_limits_are_inclusive():
     reply = STATUS + header_line(65536) + b"X: 1\r\n" * 98 + b"Content-Length: 2\r\n\r\n{}"
     with CannedServer((reply, False)) as server:
-        assert post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=1) == {}
+        assert post_json(server.endpoint + "/v1/x", b"{}", timeout=5, max_retries=1) == {}
 
 
 def test_redirect_is_neither_followed_nor_retried():
     reply = b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\nContent-Length: 2\r\n\r\n{}"
     with CannedServer((reply, False), (ok(), False)) as server:
         with pytest.raises(RemoteServiceError, match="302"):
-            post_json(server.endpoint + "/v1/x", {}, timeout=5, max_retries=3)
+            post_json(server.endpoint + "/v1/x", b"{}", timeout=5, max_retries=3)
         assert len(server.heads) == 1
 
 
 def test_host_names_the_origin(monkeypatch):
     with CannedServer((ok(), False)) as server:
-        post_json(server.endpoint + "/v1/x?q=1", {"i": 0}, timeout=5, max_retries=1)
+        post_json(server.endpoint + "/v1/x?q=1", encode({"i": 0}), timeout=5, max_retries=1)
         host = server.endpoint.removeprefix("http://").encode()
         assert server.heads[0].split(b"\r\n")[:2] == [b"POST /v1/x?q=1 HTTP/1.1", b"Host: " + host]
     with CannedServer((ok(), False)) as proxy:
@@ -236,7 +245,7 @@ def test_host_names_the_origin(monkeypatch):
         for name in ("no_proxy", "NO_PROXY"):
             monkeypatch.delenv(name, raising=False)
         url = "http://host-check.invalid:8009/v1/generate"
-        post_json(url, {"i": 0}, timeout=5, max_retries=1)
+        post_json(url, encode({"i": 0}), timeout=5, max_retries=1)
         assert proxy.heads[0].split(b"\r\n")[:2] == [
             b"POST " + url.encode() + b" HTTP/1.1", b"Host: host-check.invalid:8009"
         ]
@@ -244,7 +253,7 @@ def test_host_names_the_origin(monkeypatch):
 
 def test_url_with_whitespace_is_refused():
     with pytest.raises(ValueError, match="unsupported URL"):
-        post_json("http://127.0.0.1:9/v1/x HTTP/1.1\r\nX-Injected: 1", {}, timeout=5)
+        post_json("http://127.0.0.1:9/v1/x HTTP/1.1\r\nX-Injected: 1", b"{}", timeout=5)
 
 
 def numbered(i: int, head: bytes = b"") -> bytes:
@@ -279,7 +288,7 @@ def test_lanes_carry_contiguous_runs_and_join_the_replies_in_order():
     count = _http.LANES * _http.MAX_PIPELINE + 3
     with StubServer(echo, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
-        results = client.post_all("/v1/embed", [{"i": i} for i in range(count)])
+        results = client.post_all("/v1/embed", encode_all([{"i": i} for i in range(count)]))
         assert [r["payload"] for r in results] == [{"i": i} for i in range(count)]
         assert arrivals(server) == lane_runs(count)
         assert [len(run) for run in lane_runs(count)] == [32, 33, 33, 33]
@@ -297,7 +306,7 @@ def test_lanes_are_served_at_once():
     payloads = [{"i": i} for i in range(2 * _http.LANES)]
     with StubServer(handler, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
-        assert client.post_all("/v1/x", payloads) == payloads
+        assert client.post_all("/v1/x", encode_all(payloads)) == payloads
         assert len(server.requests) == len(payloads)
 
 
@@ -308,7 +317,7 @@ def test_lanes_to_a_stalled_server_cost_one_timeout():
         endpoint = "http://127.0.0.1:%d" % listener.getsockname()[1]
         client = _http.ServiceClient(endpoint, timeout=0.2, max_retries=1)
         began = time.monotonic()
-        results = client.post_all("/v1/x", [{"i": i} for i in range(8)])
+        results = client.post_all("/v1/x", encode_all([{"i": i} for i in range(8)]))
         elapsed = time.monotonic() - began
         listener.setblocking(False)
         received = b""
@@ -365,7 +374,7 @@ def test_idle_pool_keeps_a_connection_for_every_lane_of_every_caller():
             for r in range(rounds):
                 barrier.wait()
                 payloads = [{"worker": worker, "round": r, "i": i} for i in range(entries)]
-                assert client.post_all("/v1/x", payloads) == payloads
+                assert client.post_all("/v1/x", encode_all(payloads)) == payloads
 
         with ThreadPoolExecutor(threads) as pool:
             for future in [pool.submit(run, w) for w in range(threads)]:
@@ -398,7 +407,7 @@ def test_pipeline_closed_after_reply_k_resends_the_rest():
     payloads = [{"i": i} for i in range(2 * _http.LANES)]
     with StubServer(handler, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=1)
-        assert client.post_all("/v1/x", payloads) == payloads
+        assert client.post_all("/v1/x", encode_all(payloads)) == payloads
         # Entry 1 was written behind entry 0, on the connection that reply
         # closed; it went again on its own, on a pooled connection, once
         # every lane was read.
@@ -422,7 +431,7 @@ def test_pipeline_retries_only_the_5xx_entry_and_keeps_a_4xx_entry_as_its_error(
 
     with StubServer(handler, keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=2, backoff=0)
-        results = client.post_all("/v1/x", [{"i": i} for i in range(4)])
+        results = client.post_all("/v1/x", encode_all([{"i": i} for i in range(4)]))
         arrived = [p["i"] for _, p in server.requests]
         # The lanes arrive in any order; the resend comes after all of them.
         assert sorted(arrived[:4]) == [0, 1, 2, 3] and arrived[4:] == [1]
@@ -430,10 +439,27 @@ def test_pipeline_retries_only_the_5xx_entry_and_keeps_a_4xx_entry_as_its_error(
     assert isinstance(results[2], RemoteServiceError) and results[2].status == 404
 
 
+def test_pipeline_resends_an_entry_with_the_bytes_it_was_first_sent_with():
+    failed = set()
+
+    def handler(path, payload):
+        if payload["i"] not in failed:
+            failed.add(payload["i"])
+            return 503, {"error": "busy"}
+        return 200, payload
+
+    # Not as json.dumps writes them: a body that were encoded again would differ.
+    bodies = [b'{"i":%d,  "s":"\\u00e9"}' % i for i in range(3)]
+    with StubServer(handler, keep_alive=True) as server:
+        client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=2, backoff=0)
+        assert client.post_all("/v1/x", bodies) == [{"i": i, "s": "\u00e9"} for i in range(3)]
+    assert sorted(server.bodies[:3]) == bodies and server.bodies[3:] == bodies
+
+
 def test_pipeline_stops_resending_at_the_first_transport_error():
     with StubServer(lambda path, payload: (503, {}), keep_alive=True) as server:
         client = _http.ServiceClient(server.endpoint, timeout=5, max_retries=3, backoff=0)
-        results = client.post_all("/v1/x", [{"i": i} for i in range(5)])
+        results = client.post_all("/v1/x", encode_all([{"i": i} for i in range(5)]))
         # Five pipelined over the lanes, in any order, then entry 0 alone
         # with its retry budget of three.
         arrived = [p["i"] for _, p in server.requests]
@@ -444,7 +470,7 @@ def test_pipeline_stops_resending_at_the_first_transport_error():
 
 def test_pipeline_to_a_dead_server_costs_one_resend():
     client = _http.ServiceClient("http://127.0.0.1:1", timeout=0.2, max_retries=2, backoff=0)
-    results = client.post_all("/v1/x", [{"i": i} for i in range(4)])
+    results = client.post_all("/v1/x", encode_all([{"i": i} for i in range(4)]))
     assert isinstance(results[0], TransportError) and results[0].attempts == 2
     assert all(r is results[0] for r in results)
 

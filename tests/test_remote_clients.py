@@ -32,10 +32,10 @@ def test_service_client_posts_through_post_json(monkeypatch):
     sent = []
     monkeypatch.setattr(_http, "post_json", lambda *args: sent.append(args) or {"ok": 1})
     body = ServiceClient("http://svc:9/", timeout=2.5, max_retries=4, backoff=0.5).post(
-        "/v1/embed", {"texts": []}
+        "/v1/embed", b'{"texts": []}'
     )
     assert body == {"ok": 1}
-    assert sent == [("http://svc:9/v1/embed", {"texts": []}, 2.5, 4, 0.5)]
+    assert sent == [("http://svc:9/v1/embed", b'{"texts": []}', 2.5, 4, 0.5)]
 
 
 def test_remote_embedder_round_trip():
@@ -88,7 +88,7 @@ def test_post_json_client_error_is_not_retried():
 
     with StubServer(handler) as server:
         with pytest.raises(RemoteServiceError, match="404"):
-            ServiceClient(server.endpoint, timeout=5, max_retries=3).post("/v1/embed", {})
+            ServiceClient(server.endpoint, timeout=5, max_retries=3).post("/v1/embed", b"{}")
     assert calls["n"] == 1
 
 
@@ -99,7 +99,7 @@ def test_stub_answers_a_raising_handler_with_500_and_fails_its_block():
     with pytest.raises(AssertionError, match="KeyError"):
         with StubServer(broken) as server:
             with pytest.raises(_http.TransportError, match="HTTP 500"):
-                client(server).post("/v1/embed", {})
+                client(server).post("/v1/embed", b"{}")
     assert len(server.errors) == 1
 
 
@@ -111,5 +111,5 @@ def test_stub_fails_its_block_on_a_handler_that_raises_after_the_client_left():
     with pytest.raises(AssertionError, match="after the client timed out"):
         with StubServer(late) as server:
             with pytest.raises(_http.TransportError):
-                ServiceClient(server.endpoint, timeout=0.1, max_retries=1).post("/v1/embed", {})
+                ServiceClient(server.endpoint, timeout=0.1, max_retries=1).post("/v1/embed", b"{}")
     assert len(server.errors) == 1
