@@ -9,7 +9,9 @@ Calls reuse keep-alive connections from one process-wide pool per
 (scheme, host, port). The pool keeps every connection given back to it, and
 a connection is opened only when none is idle, so a run holds as many TCP
 connections as it once had in use at the same time (``--jobs`` times
-:data:`LANES` for ``eval``), not one per request. Proxy settings
+:data:`LANES` for ``eval``), not one per request, until
+:func:`close_idle_connections` closes them (the CLI does when a command
+returns). Proxy settings
 (``HTTP_PROXY``, ``HTTPS_PROXY``, ``NO_PROXY``) and the CA bundle
 (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) are read from the environment
 once per (scheme, host, port).
@@ -371,6 +373,18 @@ def _read_response(rfile: BinaryIO) -> tuple[int, bytes, bool]:
 
 _origins: dict[tuple[str, str, int], _Origin] = {}
 _origins_lock = threading.Lock()
+
+
+def close_idle_connections() -> None:
+    """Close every origin's idle pooled connections; a later call opens new
+    ones as needed."""
+    with _origins_lock:
+        origins = list(_origins.values())
+    for origin in origins:
+        with origin._lock:
+            idle, origin._idle = origin._idle, []
+        for sock, rfile in idle:
+            _close(sock, rfile)
 
 
 @functools.lru_cache(maxsize=64)

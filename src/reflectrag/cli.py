@@ -41,7 +41,7 @@ from .engine import (
     SelectionMode,
     write_traces,
 )
-from ._http import RemoteServiceError, ServiceClient, TransportError
+from ._http import RemoteServiceError, ServiceClient, TransportError, close_idle_connections
 from .harness import AblationName, variant_config
 from .index import (
     EmbedderError,
@@ -565,6 +565,8 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        close_idle_connections()
 
 
 if __name__ == "__main__":

@@ -560,7 +560,8 @@ class ReflectiveEngine:
         else:
             effective = decision.token
         forced = effective is not decision.token
-        acted = RetrievalDecision(
+        # unforced, keep the memoized object: a sample's traces share its JSON
+        acted = decision if not forced else RetrievalDecision(
             token=effective, logp_ret=decision.logp_ret, logp_noret=decision.logp_noret
         )
 
@@ -634,43 +635,94 @@ class ReflectiveEngine:
 # --------------------------------------------------------------------------
 
 
-def _passage_ref(p: Passage) -> dict:
-    return {"doc_id": p.doc_id, "section_index": p.section_index}
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _scalar(value) -> str:
+    """``value`` as :func:`json_line` writes it; exact ints, finite floats
+    (``x - x`` is NaN for inf and NaN), strs and bools without calling it."""
+    kind = type(value)
+    if (kind is float or kind is int) and value - value == 0:
+        return repr(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return json_line(value)
+
+
+def _fragment(fragments: dict, part, encode) -> str:
+    entry = fragments.get(id(part))
+    if entry is None:
+        entry = fragments[id(part)] = (part, encode(part))
+    return entry[1]
+
+
+def _ref_json(p: Passage) -> str:
+    return f'{{"doc_id":{_scalar(p.doc_id)},"section_index":{_scalar(p.section_index)}}}'
+
+
+def _decision_json(d: RetrievalDecision) -> str:
+    return (
+        f'{{"token":{_scalar(d.token.value)},"logp_ret":{_scalar(d.logp_ret)},'
+        f'"logp_noret":{_scalar(d.logp_noret)}}}'
+    )
+
+
+def _hits_json(hits: Sequence[RetrievalHit]) -> str:
+    return "[" + ",".join(
+        f'{{"doc_id":{_scalar(h.doc_id)},"score":{_scalar(h.score)},"rank":{_scalar(h.rank)}}}'
+        for h in hits
+    ) + "]"
+
+
+def trace_line(
+    trace: PipelineTrace, include_timings: bool = True, fragments: dict | None = None
+) -> str:
+    """The JSON line of one trace: its fields in order, as :func:`json_line`
+    writes them, each passage as ``{"doc_id","section_index"}``, each
+    judgment with its ``score``, and ``timings`` only when asked for.
+
+    ``fragments`` maps ``id(part)`` to ``(part, JSON)`` for the decision,
+    the hits and candidates tuples, each judgment and passage, and the
+    config, so traces written with one table encode a shared part once.
+    Holding the part keeps its id from reuse; no part may change meanwhile.
+    The empty tuple, the one object that is two kinds of part, is ``[]``.
+    """
+    if fragments is None:
+        fragments = {}
+
+    def ref(p: Passage) -> str:
+        return _fragment(fragments, p, _ref_json)
+
+    def refs(passages: Sequence[Passage]) -> str:
+        return "[" + ",".join(map(ref, passages)) + "]"
+
+    def judgment(j: RelevanceJudgment) -> str:
+        return (
+            f'{ref(j.passage)[:-1]},"token":{_scalar(j.token.value)},'
+            f'"logp_rel":{_scalar(j.logp_rel)},"logp_norel":{_scalar(j.logp_norel)},'
+            f'"score":{_scalar(j.score)}}}'
+        )
+
+    judgments = ",".join([_fragment(fragments, j, judgment) for j in trace.judgments])
+    line = (
+        f'{{"sample_id":{_scalar(trace.sample_id)},'
+        f'"decision":{_fragment(fragments, trace.decision, _decision_json)},'
+        f'"forced":{_scalar(trace.forced)},"hits":{_fragment(fragments, trace.hits, _hits_json)},'
+        f'"candidates":{_fragment(fragments, trace.candidates, refs)},"judgments":[{judgments}],'
+        f'"selected":{refs(trace.selected)},"answer":{_scalar(trace.answer)},'
+        f'"fallback":{_scalar(trace.fallback)},"judge_failures":{_scalar(trace.judge_failures)},'
+        f'"config":{_fragment(fragments, trace.config, json_line)}'
+    )
+    if include_timings:
+        return f'{line},"timings":{json_line(trace.timings)}}}'
+    return line + "}"
 
 
 def trace_to_dict(trace: PipelineTrace, include_timings: bool = True) -> dict:
-    out = {
-        "sample_id": trace.sample_id,
-        "decision": {
-            "token": trace.decision.token.value,
-            "logp_ret": trace.decision.logp_ret,
-            "logp_noret": trace.decision.logp_noret,
-        },
-        "forced": trace.forced,
-        "hits": [
-            {"doc_id": h.doc_id, "score": h.score, "rank": h.rank} for h in trace.hits
-        ],
-        "candidates": [_passage_ref(p) for p in trace.candidates],
-        "judgments": [
-            {
-                "doc_id": j.passage.doc_id,
-                "section_index": j.passage.section_index,
-                "token": j.token.value,
-                "logp_rel": j.logp_rel,
-                "logp_norel": j.logp_norel,
-                "score": j.score,
-            }
-            for j in trace.judgments
-        ],
-        "selected": [_passage_ref(p) for p in trace.selected],
-        "answer": trace.answer,
-        "fallback": trace.fallback,
-        "judge_failures": trace.judge_failures,
-        "config": trace.config,
-    }
-    if include_timings:
-        out["timings"] = trace.timings
-    return out
+    """The object :func:`trace_line` writes."""
+    return json.loads(trace_line(trace, include_timings))
 
 
 def write_traces(
@@ -678,11 +730,15 @@ def write_traces(
     path: str | Path,
     include_timings: bool = True,
 ) -> Path:
-    lines = []
-    for t in traces:
-        obj = t if isinstance(t, dict) else trace_to_dict(t, include_timings)
-        lines.append(json_line(obj))
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+    """One line per trace: :func:`trace_line` of a trace, the parts that
+    traces share encoded once, or :func:`json_line` of a dict."""
+    fragments: dict = {}
+    text = "".join(
+        (json_line(t) if isinstance(t, dict) else trace_line(t, include_timings, fragments))
+        + "\n"
+        for t in traces
+    )
+    atomic_write_bytes(path, text.encode("utf-8"))
     return Path(path)
 
 

@@ -1,9 +1,9 @@
 """Batch evaluation: scoring, split aggregation, token accuracy, ablations.
 
-Scoring operates on serialized trace dicts, never on live pipeline objects,
-so re-scoring a trace file is exactly the same code path as scoring a fresh
-run and is guaranteed pure. Report assembly is a deterministic fold ordered
-by sample id.
+Scoring reads only the fields a trace line carries (:func:`score_fields`),
+taken from the trace object in a fresh run and from the line when a trace
+file is re-scored; both give the same dict, so re-scoring is guaranteed
+pure. Report assembly is a deterministic fold ordered by sample id.
 """
 from __future__ import annotations
 
@@ -20,8 +20,10 @@ from typing import Callable, Sequence
 from .engine import (
     ForcedDecision,
     PipelineConfig,
+    PipelineTrace,
     ReflectiveEngine,
     SelectionMode,
+    trace_line,
     trace_to_dict,
 )
 from .metrics import (
@@ -221,6 +223,19 @@ def score_fields(trace: dict) -> dict:
     }
 
 
+def _score_fields_of(t: PipelineTrace) -> dict:
+    """:func:`score_fields` of ``trace_to_dict(t)``, read from the trace."""
+    return {
+        "sample_id": t.sample_id,
+        "decision": {"token": t.decision.token.value},
+        "forced": t.forced,
+        "selected": [{"doc_id": p.doc_id, "section_index": p.section_index} for p in t.selected],
+        "answer": t.answer,
+        "fallback": t.fallback,
+        "judge_failures": t.judge_failures,
+    }
+
+
 @dataclass(frozen=True)
 class EvalRun:
     report: EvalReport
@@ -254,28 +269,33 @@ def evaluate_configs(
     ``jobs`` threads on either path (:meth:`ReflectiveEngine.with_batched_search`).
 
     Without ``sinks`` each run keeps its trace dicts. With them, config i's
-    trace lines (JSON, newline-terminated, serialized in the task) go to
-    ``sinks[i]`` as samples complete, or nowhere when it is ``None``, and
-    only :func:`score_fields` of each trace is held for scoring.
+    trace lines (:func:`trace_line`, newline-terminated, written in the task
+    with one fragment table per sample) go to ``sinks[i]`` as samples
+    complete, or nowhere when it is ``None``. Only :func:`score_fields` of
+    each trace, read from the trace object, is held for scoring.
     """
     ordered = sorted(samples, key=lambda s: s.id)
     engine = engine.with_batched_search(ordered, jobs)
 
-    def encode(i: int, trace: dict) -> tuple[str | dict | None, dict]:
-        if sinks is None:
-            return trace, trace
-        return (json_line(trace) if sinks[i] else None), score_fields(trace)
+    # Each config's trace dict and its JSON, shared by all of its traces.
+    config_fragments = {
+        id(c._trace_dict): (c._trace_dict, json_line(c._trace_dict)) for c in configs
+    }
 
     def run_sample(sample: QuerySample) -> list[tuple | str]:
         task = engine.with_step_memo() if len(configs) > 1 else engine
+        fragments = dict(config_fragments)
         outcomes: list[tuple | str] = []
         for i, config in enumerate(configs):
             try:
-                trace = trace_to_dict(task.run(sample, config), include_timings)
+                trace = task.run(sample, config)
             except Exception as exc:  # noqa: BLE001 - failures become the manifest
                 outcomes.append(f"{type(exc).__name__}: {exc}")
             else:
-                outcomes.append(encode(i, trace))
+                kept = trace_to_dict(trace, include_timings) if sinks is None else (
+                    trace_line(trace, include_timings, fragments) if sinks[i] else None
+                )
+                outcomes.append((kept, _score_fields_of(trace)))
         return outcomes
 
     traces: list[list] = [[] for _ in configs]

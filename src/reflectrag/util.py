@@ -16,9 +16,12 @@ from typing import IO, Any, Iterator, TypeVar
 T = TypeVar("T")
 
 
+_COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
+
+
 def json_line(obj: Any) -> str:
     """Compact single-line JSON preserving dict insertion order."""
-    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+    return _COMPACT.encode(obj)
 
 
 @contextlib.contextmanager

@@ -46,11 +46,7 @@ def close_idle_connections():
     """Closes the transport's pooled idle connections after each test, so
     none is left for the garbage collector to drop unclosed."""
     yield
-    for origin in list(_http._origins.values()):
-        with origin._lock:
-            idle, origin._idle = origin._idle, []
-        for sock, rfile in idle:
-            _http._close(sock, rfile)
+    _http.close_idle_connections()
 
 
 @pytest.fixture(scope="session")

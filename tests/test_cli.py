@@ -3,6 +3,7 @@ import json
 import re
 import socket
 import subprocess
+import sys
 import threading
 import time
 
@@ -356,6 +357,24 @@ class TestEndpointEnvOverride:
         assert run(eval_args(corpus, files.dataset, tmp_path / "rule")) == 0
         for name in ("eval_report.json", "traces_full.jsonl"):
             assert (tmp_path / "env" / name).read_bytes() == (tmp_path / "rule" / name).read_bytes()
+
+    def test_remote_eval_closes_its_idle_connections(self, synthetic_files, tmp_path):
+        # The CLI closes the keep-alive pool when a command returns, so no
+        # socket is left for the interpreter to drop unclosed at exit.
+        files = synthetic_files
+        rule = RuleBackend.from_samples(load_samples(files.dataset))
+        with StubServer(lambda path, payload: (200, serve_generate(rule, payload)),
+                        keep_alive=True) as server:
+            args = eval_args((files.kb, files.index, None), files.dataset, tmp_path / "out",
+                             "--backend", "remote", "--endpoint", server.endpoint, "--jobs", 2)
+            done = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+                 "-m", "reflectrag.cli", *map(str, args)],
+                env=SCRIPT_ENV, capture_output=True, text=True, timeout=120,
+            )
+        assert done.returncode == 0, done.stderr
+        assert server.connections > 0
+        assert "unclosed" not in done.stderr
 
     def test_dead_env_endpoint_exits_2(self, monkeypatch, synthetic_files, tmp_path, capsys):
         monkeypatch.setenv("REFLECTIVA_ENDPOINT", "http://127.0.0.1:1")

@@ -20,25 +20,30 @@ from reflectrag.engine import (
     ForcedDecision,
     PipelineConfig,
     PipelineError,
+    PipelineTrace,
     RelevanceJudgment,
     RerankConfig,
     RerankStrategy,
     RerankerError,
     ReflectiveEngine,
+    RetrievalDecision,
     SelectionMode,
     apply_external_reranker,
     decide_retrieval,
     judge_passage,
     rank_by_relevance,
     read_trace_dicts,
+    trace_line,
     trace_to_dict,
     write_traces,
 )
-from reflectrag.index import RetrievalMode, build_index
+from reflectrag.harness import _score_fields_of, score_fields
+from reflectrag.index import RetrievalHit, RetrievalMode, build_index
 from reflectrag.kb import Passage
 from reflectrag.prompts import PromptStage, build_prompt, prompt_fingerprint
 from reflectrag.samples import QuerySample
 from reflectrag.tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
+from reflectrag.util import json_line
 
 
 def make_sample(question="Q?", sample_id="s1", embedding=None):
@@ -532,3 +537,101 @@ def test_trace_round_trip(tmp_path):
     write_traces(traces, path, include_timings=False)
     loaded = read_trace_dicts(path)
     assert loaded == [trace_to_dict(t, include_timings=False) for t in traces]
+
+
+def test_no_traces_write_an_empty_file(tmp_path):
+    path = write_traces([], tmp_path / "traces.jsonl")
+    assert path.read_bytes() == b""
+
+
+def reference_trace_dict(trace, include_timings):
+    """The trace line's object, built field by field: the reference that
+    ``trace_line`` is checked against."""
+    def ref(p):
+        return {"doc_id": p.doc_id, "section_index": p.section_index}
+
+    out = {
+        "sample_id": trace.sample_id,
+        "decision": {
+            "token": trace.decision.token.value,
+            "logp_ret": trace.decision.logp_ret,
+            "logp_noret": trace.decision.logp_noret,
+        },
+        "forced": trace.forced,
+        "hits": [{"doc_id": h.doc_id, "score": h.score, "rank": h.rank} for h in trace.hits],
+        "candidates": [ref(p) for p in trace.candidates],
+        "judgments": [
+            {**ref(j.passage), "token": j.token.value, "logp_rel": j.logp_rel,
+             "logp_norel": j.logp_norel, "score": j.score}
+            for j in trace.judgments
+        ],
+        "selected": [ref(p) for p in trace.selected],
+        "answer": trace.answer,
+        "fallback": trace.fallback,
+        "judge_failures": trace.judge_failures,
+        "config": trace.config,
+    }
+    if include_timings:
+        out["timings"] = trace.timings
+    return out
+
+
+# Text with JSON's escapes, line separators, non-BMP characters and lone
+# surrogates mixed into arbitrary code points.
+awkward_text = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(
+        ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+    ),
+    max_size=12,
+)
+numbers = st.floats() | st.integers(-(10**6), 10**6)  # floats: nan, inf, -0.0, subnormals
+passages = st.builds(Passage, awkward_text, st.integers(0, 2**70), awkward_text)
+
+
+@st.composite
+def shared_traces(draw):
+    """Traces that share a decision, hits, candidates, judgments and config
+    objects, as one sample's configs do under the step memo."""
+    pool = draw(st.lists(passages, max_size=4))
+    relevance = st.sampled_from([ReflectiveToken.REL, ReflectiveToken.NOREL])
+    judgments = [
+        RelevanceJudgment(p, draw(relevance), draw(numbers), draw(numbers)) for p in pool
+    ]
+    decision = RetrievalDecision(
+        draw(st.sampled_from([ReflectiveToken.RET, ReflectiveToken.NORET])),
+        draw(numbers),
+        draw(numbers),
+    )
+    hit = st.builds(RetrievalHit, awkward_text, numbers, st.integers())
+    hits = tuple(draw(st.lists(hit, max_size=3)))
+    config = draw(pipeline_configs)._trace_dict
+    return [
+        PipelineTrace(
+            sample_id=draw(awkward_text),
+            decision=draw(st.sampled_from([decision, dataclasses.replace(decision)])),
+            forced=draw(st.booleans()),
+            hits=draw(st.sampled_from([hits, ()])),
+            candidates=tuple(pool),
+            judgments=tuple(draw(st.lists(st.sampled_from(judgments), max_size=4)) if pool else ()),
+            selected=tuple(draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else ()),
+            answer=draw(awkward_text),
+            fallback=draw(st.booleans()),
+            judge_failures=draw(st.integers(0, 2**40)),
+            timings=draw(st.dictionaries(awkward_text, numbers, max_size=3)),
+            config=config,
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+
+
+@given(shared_traces(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_trace_line_writes_the_reference_object(traces, include_timings):
+    fragments: dict = {}
+    for trace in traces:
+        expected = json_line(reference_trace_dict(trace, include_timings))
+        assert trace_line(trace, include_timings, fragments) == expected
+        assert trace_line(trace, include_timings) == expected
+        assert json_line(trace_to_dict(trace, include_timings)) == expected
+        assert _score_fields_of(trace) == score_fields(reference_trace_dict(trace, include_timings))

@@ -7,7 +7,9 @@ from dataclasses import replace
 
 import pytest
 
-from reflectrag.engine import PipelineConfig, ReflectiveEngine, write_traces, read_trace_dicts
+from reflectrag.engine import (
+    PipelineConfig, ReflectiveEngine, read_trace_dicts, trace_line, write_traces,
+)
 from reflectrag.harness import (
     AblationName,
     PassageExpectation,
@@ -337,6 +339,49 @@ class TestOnePass:
             assert streamed[i].report == kept[i].report
         dropped = evaluate_configs(engine, suite.samples, configs, sinks=[None, None])
         assert [run.report for run in dropped] == [run.report for run in kept]
+
+    def test_five_variant_lines_equal_at_one_and_four_jobs(self, small_run):
+        suite, rule_engine = small_run
+        pooled = Recording(rule_engine.backend, delay=0)
+        configs = [variant_config(name, PipelineConfig(seed=3)) for name in AblationName]
+        written = []
+        # the rule backend runs on the calling thread, the other on a pool
+        pooled_engine = with_backend(rule_engine, pooled)
+        for engine, jobs in ((rule_engine, 1), (rule_engine, 4), (pooled_engine, 4)):
+            lines: list[list[str]] = [[] for _ in configs]
+            evaluate_configs(engine, suite.samples, configs, jobs=jobs,
+                             include_timings=False, sinks=[each.append for each in lines])
+            written.append(lines)
+        assert written[0] == written[1] == written[2]
+        assert len(pooled.threads) > 1
+
+    def test_shared_trace_parts_stay_within_their_sample_and_config(self):
+        # Four documents for sixteen fact questions: questions on one document
+        # share its passages, and judge them differently when they ask about
+        # different sections.
+        suite = make_synthetic_suite(num_docs=4, num_fact_samples=16, num_noret_samples=2, seed=5)
+        engine = ReflectiveEngine(
+            RuleBackend(suite.answers_by_question, suite.direct_answers),
+            kb=suite.kb, index=build_index(suite.kb, RetrievalMode.VISUAL),
+        )
+        configs = [
+            PipelineConfig(top_k_docs=2),
+            PipelineConfig(top_k_docs=3, force_decision=ForcedDecision.ALWAYS_RET),
+        ]
+        lines: list[list[str]] = [[], []]
+        evaluate_configs(engine, suite.samples, configs, include_timings=False,
+                         sinks=[lines[0].append, lines[1].append])
+        by_id = {s.id: s for s in suite.samples}
+        tokens: dict[tuple, set] = {}
+        for config, written in zip(configs, lines):
+            assert len(written) == len(suite.samples)
+            for line in written:
+                trace = json.loads(line)
+                alone = engine.run(by_id[trace["sample_id"]], config)  # no memo, no shared parts
+                assert line == trace_line(alone, include_timings=False) + "\n"
+                for j in trace["judgments"]:
+                    tokens.setdefault((j["doc_id"], j["section_index"]), set()).add(j["token"])
+        assert any(len(judged) == 2 for judged in tokens.values())
 
 
 class TestAblations:
