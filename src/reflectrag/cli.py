@@ -44,6 +44,7 @@ from .engine import (
 from ._http import RemoteServiceError, ServiceClient, TransportError, close_idle_connections
 from .harness import AblationName, variant_config
 from .index import (
+    DenseIndex,
     EmbedderError,
     HashEmbedder,
     RemoteTextEmbedder,
@@ -52,7 +53,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .kb import KBLoadError, load_kb
+from .kb import KBLoadError, KnowledgeBase, load_kb
 from .samples import QuerySample, SampleError, load_samples
 from .similarity import LexicalOverlapScorer
 from .synth import RuleBackend
@@ -171,6 +172,15 @@ def _build_backend(
     raise ConfigurationError(f"unknown backend kind {spec.kind!r}")
 
 
+def _check_index_in_kb(index: DenseIndex, kb: KnowledgeBase, config: RunConfig) -> None:
+    """Refuse a run whose index names a document its KB does not hold."""
+    missing = set(index.doc_ids).difference(kb.documents)
+    if missing:
+        first = next(doc_id for doc_id in index.doc_ids if doc_id in missing)
+        raise ConfigurationError(f"index {config.index_path} names document {first!r}, which KB "
+                                 f"{config.kb_path} does not hold ({len(missing)} such id(s))")
+
+
 def _build_engine(
     config: RunConfig,
     samples: list[QuerySample] | None = None,
@@ -180,6 +190,8 @@ def _build_engine(
     ``rerank_strategy``, or else the pipeline config's, is external."""
     kb = load_kb(config.kb_path) if config.kb_path else None
     index = load_index(config.index_path) if config.index_path else None
+    if kb is not None and index is not None:
+        _check_index_in_kb(index, kb, config)
     backend = _build_backend(config, samples)
     if rerank_strategy is None and config.pipeline.rerank is not None:
         rerank_strategy = config.pipeline.rerank.strategy
@@ -334,6 +346,7 @@ def cmd_mine(args: argparse.Namespace, config: RunConfig) -> int:
         if not config.index_path:
             raise ConfigurationError("mine --stage 2 requires --index")
         index = load_index(config.index_path)
+        _check_index_in_kb(index, kb, config)
         backend = _build_backend(config, samples)
         noret = (
             load_samples(args.noret_dataset)

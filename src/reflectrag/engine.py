@@ -214,7 +214,7 @@ def _read_reflection(
     The token is ``yes`` iff logp(yes) > logp(no), so a tie goes to ``no``."""
     cands = result.candidate_logprobs[0]
     try:
-        logp_yes, logp_no = cands[yes.value], cands[no.value]
+        logp_yes, logp_no = cands[yes], cands[no]  # a member hashes as its str
     except KeyError as exc:
         raise ProtocolViolationError(
             f"{stage} step must report logprobs for both {stage} tokens: {exc}"
@@ -664,7 +664,7 @@ def _ref_json(p: Passage) -> str:
 
 def _decision_json(d: RetrievalDecision) -> str:
     return (
-        f'{{"token":{_scalar(d.token.value)},"logp_ret":{_scalar(d.logp_ret)},'
+        f'{{"token":{_encode_str(d.token)},"logp_ret":{_scalar(d.logp_ret)},'
         f'"logp_noret":{_scalar(d.logp_noret)}}}'
     )
 
@@ -700,7 +700,7 @@ def trace_line(
 
     def judgment(j: RelevanceJudgment) -> str:
         return (
-            f'{ref(j.passage)[:-1]},"token":{_scalar(j.token.value)},'
+            f'{ref(j.passage)[:-1]},"token":{_encode_str(j.token)},'
             f'"logp_rel":{_scalar(j.logp_rel)},"logp_norel":{_scalar(j.logp_norel)},'
             f'"score":{_scalar(j.score)}}}'
         )

@@ -227,7 +227,7 @@ def _score_fields_of(t: PipelineTrace) -> dict:
     """:func:`score_fields` of ``trace_to_dict(t)``, read from the trace."""
     return {
         "sample_id": t.sample_id,
-        "decision": {"token": t.decision.token.value},
+        "decision": {"token": t.decision.token},
         "forced": t.forced,
         "selected": [{"doc_id": p.doc_id, "section_index": p.section_index} for p in t.selected],
         "answer": t.answer,

@@ -581,13 +581,24 @@ def load_index(path: str | Path) -> DenseIndex:
     mode = RetrievalMode(header["mode"])
     dim = int(header["dim"])
     count = int(header["count"])
-    doc_ids = tuple(json.loads(line)["doc_id"] for line in lines[1:] if line.strip())
+    doc_ids: list[str] = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        try:
+            entry = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: malformed entry: {exc.msg}") from None
+        doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
+        if not isinstance(doc_id, str) or not doc_id:
+            raise ValueError(f"{path}: line {line_no}: doc_id must be a non-empty string")
+        doc_ids.append(doc_id)
     if len(doc_ids) != count:
         raise ValueError(f"{path}: header count {count} != {len(doc_ids)} entries")
     raw = np.fromfile(sidecar_path(path), dtype="<f4")
     if raw.size != count * dim:
         raise ValueError(f"{path}: sidecar size mismatch")
     try:
-        return DenseIndex(mode=mode, dim=dim, doc_ids=doc_ids, matrix=raw.reshape(count, dim))
+        return DenseIndex(mode, dim, tuple(doc_ids), raw.reshape(count, dim))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

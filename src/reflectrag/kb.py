@@ -14,7 +14,13 @@ File format::
 
 With ``"embeddings": "sidecar"`` in the manifest, inline embeddings must be
 null and a ``<stem>.vec`` file holds N rows of D little-endian float32 values,
-one row per document in file order.
+one row per document in file order; it is memory-mapped read-only.
+
+:func:`save_kb` also writes ``<stem>.idx`` when every record passes the
+checks: the KB's sha256 and each document's id and byte offset. When the
+sha256 matches and every sidecar row is unit-norm, :func:`load_kb` parses a
+document on first access, with the same checks; otherwise it validates all
+of them, so deleting the ``.idx`` is always safe.
 """
 from __future__ import annotations
 
@@ -22,7 +28,10 @@ import hashlib
 import json
 import logging
 import math
+from collections.abc import Mapping
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -100,7 +109,7 @@ class SourceManifest:
 class KnowledgeBase:
     """Immutable after load; concurrent reads are safe."""
 
-    documents: dict[str, Document]
+    documents: Mapping[str, Document]
     embedding_dim: int
     source_manifest: SourceManifest
 
@@ -149,10 +158,17 @@ def _as_unit_embedding(values, dim: int, doc_id: str, line_no: int) -> np.ndarra
 
 
 def _parse_document(
-    obj: dict, dim: int, line_no: int, row: np.ndarray | None = None, row_cleared: bool = False
+    obj, dim: int, line_no: int, row: np.ndarray | None = None, row_cleared: bool = False
 ) -> Document:
-    """The document of one KB line; in sidecar mode ``row`` is its sidecar
-    row, whose norm is checked unless ``row_cleared``."""
+    """The document of one KB line, as text or as its record; in sidecar mode
+    ``row`` is its sidecar row, whose norm is checked unless ``row_cleared``."""
+    if isinstance(obj, str):
+        try:
+            obj = json.loads(obj)
+        except json.JSONDecodeError as exc:
+            raise KBLoadError(f"malformed JSON: {exc.msg}", line_no) from exc
+    if not isinstance(obj, dict):
+        raise KBLoadError("document record must be a JSON object", line_no)
     for key in ("id", "title", "summary", "sections", "image_embedding"):
         if key not in obj:
             raise KBLoadError(f"missing required key {key!r}", line_no)
@@ -168,11 +184,12 @@ def _parse_document(
             raise KBLoadError(
                 f"document {doc_id!r}: section {idx} must have title and text", line_no
             )
-        if not str(sec["text"]).strip():
+        text = str(sec["text"])
+        if not text.strip():
             raise KBLoadError(
                 f"document {doc_id!r}: section {idx} has empty body", line_no
             )
-        sections.append(Section(title=str(sec["title"]), text=str(sec["text"])))
+        sections.append(Section(str(sec["title"]), text))
     emb = obj["image_embedding"]
     embedding = None if emb is None else _as_unit_embedding(emb, dim, doc_id, line_no)
     if row is not None:
@@ -181,34 +198,70 @@ def _parse_document(
                 f"document {doc_id!r}: inline embedding present in sidecar mode", line_no
             )
         embedding = row if row_cleared else _as_unit_embedding(row, dim, doc_id, line_no)
-    return Document(
-        id=doc_id,
-        title=title,
-        summary=str(obj["summary"]),
-        sections=tuple(sections),
-        image_embedding=embedding,
-    )
+    return Document(doc_id, title, str(obj["summary"]), tuple(sections), embedding)
+
+
+class _Documents(Mapping):
+    """Doc id -> Document, in file order. A document not parsed yet is parsed
+    from its line on first access and must carry the id it was looked up by."""
+
+    def __init__(self, rows: dict[str, int], raw=b"", offsets=(), dim=0, sidecar=None):
+        self._rows = rows  # doc id -> its row; a document's line is row + 2
+        self._raw, self._offsets, self._dim, self._sidecar = raw, offsets, dim, sidecar
+        self._parsed: dict[str, Document] = {}
+
+    def __getitem__(self, doc_id: str) -> Document:
+        doc = self._parsed.get(doc_id)
+        if doc is None:
+            row = self._rows[doc_id]
+            start = self._offsets[row]
+            line = self._raw[start : self._raw.find(b"\n", start)].decode()
+            vec = () if self._sidecar is None else (self._sidecar[row], True)  # all cleared
+            doc = _parse_document(line, self._dim, row + 2, *vec)
+            if doc.id != doc_id:
+                raise KBLoadError(f"offset index gives {doc_id!r} the line of {doc.id!r}", row + 2)
+            self._parsed[doc_id] = doc  # threads that race parse equal documents
+        return doc
+
+    def __contains__(self, doc_id) -> bool:  # Mapping's would parse the document
+        return doc_id in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
 
 
 def sidecar_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".vec")
 
 
+def idx_path(path: str | Path) -> Path:
+    return Path(path).with_suffix(".idx")
+
+
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Load and validate a KB file; every violation is a hard error.
 
     Documents without an image embedding are accepted with a logged warning
-    (they are simply invisible to visual-mode indexing).
+    (they are simply invisible to visual-mode indexing). With a matching
+    offset index, documents are validated as they are first read.
     """
     path = Path(path)
     raw = path.read_bytes()
     checksum = hashlib.sha256(raw).hexdigest()
-    lines = raw.decode("utf-8").splitlines()
-    if not lines:
+    table = None  # (ids, offsets, missing embeddings) of an .idx for these bytes
+    with suppress(OSError, ValueError, KeyError, TypeError):
+        idx = json.loads(idx_path(path).read_bytes())
+        if idx["sha256"] == checksum:
+            table = idx["ids"], idx["offsets"], idx["missing_embeddings"]
+    lines = None if table else raw.decode("utf-8").splitlines()
+    if lines == []:
         raise KBLoadError("empty file", 1)
 
     try:
-        manifest = json.loads(lines[0])
+        manifest = json.loads(raw[: raw.find(b"\n")] if lines is None else lines[0])
     except json.JSONDecodeError as exc:
         raise KBLoadError(f"malformed JSON: {exc.msg}", 1) from exc
     if not isinstance(manifest, dict) or manifest.get("manifest") is not True:
@@ -229,39 +282,39 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         vec_path = sidecar_path(path)
         if not vec_path.exists():
             raise KBLoadError(f"sidecar file not found: {vec_path}", 1)
-        sidecar = np.fromfile(vec_path, dtype="<f4")
-        if sidecar.size != count * dim:
-            raise KBLoadError(
-                f"sidecar holds {sidecar.size} floats, expected {count}x{dim}", 1
-            )
-        sidecar = sidecar.reshape(count, dim)
-        sidecar.setflags(write=False)
+        floats = vec_path.stat().st_size // 4
+        if floats != count * dim:
+            raise KBLoadError(f"sidecar holds {floats} floats, expected {count}x{dim}", 1)
+        sidecar = np.zeros((0, dim), "<f4")  # mmap cannot map an empty file
+        if floats:
+            sidecar = np.asarray(np.memmap(vec_path, "<f4", "r", shape=(count, dim)))
         # |n*n - 1| <= tol implies |n - 1| < tol, so one float64 pass clears
         # the rows that need no check; the rest get the per-row check in order.
         squares = np.einsum("ij,ij->i", sidecar, sidecar, dtype=np.float64)
         cleared = np.abs(squares - 1.0) <= UNIT_NORM_TOL
 
-    documents: dict[str, Document] = {}
-    body_lines = [(i + 2, line) for i, line in enumerate(lines[1:]) if line.strip()]
-    if len(body_lines) != count:
-        raise KBLoadError(
-            f"manifest count {count} does not match {len(body_lines)} records", 1
-        )
-    missing_embeddings = 0
-    for row, (line_no, line) in enumerate(body_lines):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise KBLoadError(f"malformed JSON: {exc.msg}", line_no) from exc
-        if sidecar is None:
-            doc = _parse_document(obj, dim, line_no)
-        else:
-            doc = _parse_document(obj, dim, line_no, sidecar[row], cleared[row])
-        if doc.id in documents:
-            raise KBLoadError(f"duplicate document id {doc.id!r}", line_no)
-        if doc.image_embedding is None:
-            missing_embeddings += 1
-        documents[doc.id] = doc
+    if table is not None and (sidecar is None or cleared.all()):
+        ids, offsets, missing_embeddings = table
+        documents = _Documents(dict(zip(ids, range(len(ids)))), raw, offsets, dim, sidecar)
+    else:
+        if lines is None:  # an .idx matched, but a sidecar row needs the per-row check
+            lines = raw.decode("utf-8").splitlines()
+        documents = _Documents({})
+        body_lines = [(i + 2, line) for i, line in enumerate(lines[1:]) if line.strip()]
+        if len(body_lines) != count:
+            raise KBLoadError(
+                f"manifest count {count} does not match {len(body_lines)} records", 1
+            )
+        for row, (line_no, line) in enumerate(body_lines):
+            if sidecar is None:
+                doc = _parse_document(line, dim, line_no)
+            else:
+                doc = _parse_document(line, dim, line_no, sidecar[row], cleared[row])
+            if doc.id in documents:
+                raise KBLoadError(f"duplicate document id {doc.id!r}", line_no)
+            documents._rows[doc.id] = row
+            documents._parsed[doc.id] = doc
+        missing_embeddings = sum(d.image_embedding is None for d in documents.values())
 
     if not documents:
         raise KBLoadError("knowledge base contains no documents", 1)
@@ -283,10 +336,12 @@ def load_kb(path: str | Path) -> KnowledgeBase:
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path, embeddings: str = "inline") -> Path:
-    """Serialize back to the JSONL format (atomically). Returns the path."""
+    """Serialize back to the JSONL format (atomically), then its offset index
+    if every record passes :func:`load_kb`'s checks. Returns the path."""
     if embeddings not in ("inline", "sidecar"):
         raise ValueError(f"unknown embeddings storage {embeddings!r}")
     path = Path(path)
+    idx_path(path).unlink(missing_ok=True)
     manifest: dict = {
         "manifest": True,
         "embedding_dim": kb.embedding_dim,
@@ -296,34 +351,45 @@ def save_kb(kb: KnowledgeBase, path: str | Path, embeddings: str = "inline") -> 
         manifest["embeddings"] = "sidecar"
     lines = [json_line(manifest)]
     rows = []
-    for doc in kb.documents.values():
+    ids = []
+    checked = True  # every record so far passes load_kb's checks
+    for line_no, doc in enumerate(kb.documents.values(), start=2):
+        row = emb_field = None
         if embeddings == "sidecar":
             if doc.image_embedding is None:
                 raise ValueError(
                     f"document {doc.id!r} has no embedding; sidecar mode requires all"
                 )
-            rows.append(doc.image_embedding.astype("<f4"))
-            emb_field = None
-        else:
-            emb_field = (
-                None
-                if doc.image_embedding is None
-                else [float(x) for x in doc.image_embedding]
-            )
-        lines.append(
-            json_line(
-                {
-                    "id": doc.id,
-                    "title": doc.title,
-                    "summary": doc.summary,
-                    "sections": [{"title": s.title, "text": s.text} for s in doc.sections],
-                    "image_embedding": emb_field,
-                }
-            )
-        )
-    atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
+            row = doc.image_embedding.astype("<f4")
+            rows.append(row)
+        elif doc.image_embedding is not None:
+            emb_field = np.asarray(doc.image_embedding).tolist()
+        record = {
+            "id": doc.id,
+            "title": doc.title,
+            "summary": doc.summary,
+            "sections": [{"title": s.title, "text": s.text} for s in doc.sections],
+            "image_embedding": emb_field,
+        }
+        lines.append(json_line(record))
+        ids.append(doc.id)
+        if checked:
+            try:
+                _parse_document(record, kb.embedding_dim, line_no, row)
+            except KBLoadError:
+                checked = False
     if embeddings == "sidecar":
         atomic_write_bytes(sidecar_path(path), np.vstack(rows).tobytes(order="C"))
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    atomic_write_bytes(path, data)
+    if checked and len(set(ids)) == len(ids):
+        table = {
+            "sha256": hashlib.sha256(data).hexdigest(),
+            "missing_embeddings": sum(d.image_embedding is None for d in kb.documents.values()),
+            "ids": ids,  # json_line writes ASCII, so a line's length is its byte count
+            "offsets": list(accumulate(len(line) + 1 for line in lines[:-1])),
+        }
+        atomic_write_bytes(idx_path(path), json_line(table).encode("ascii"))
     return path
 
 

@@ -193,6 +193,9 @@ def _jitter(*parts: str, scale: float = 0.15) -> float:
     return scale * int.from_bytes(digest[:4], "little") / 2**32
 
 
+_RET, _NORET, _REL, _NOREL = (ReflectiveToken[n].value for n in ("RET", "NORET", "REL", "NOREL"))
+
+
 def _binary_logps(token_a: str, token_b: str, p_a: float) -> dict[str, float]:
     """Two-token log distribution with P(a) = p_a; sums to exactly 1."""
     return {token_a: math.log(p_a), token_b: math.log(1.0 - p_a)}
@@ -260,11 +263,7 @@ class RuleBackend:
         if allowed_set == DECISION_TOKENS:
             wants_retrieval = question not in self.direct_answers
             p_top = 0.80 + _jitter("decide", question)
-            logps = _binary_logps(
-                ReflectiveToken.RET.value,
-                ReflectiveToken.NORET.value,
-                p_top if wants_retrieval else 1.0 - p_top,
-            )
+            logps = _binary_logps(_RET, _NORET, p_top if wants_retrieval else 1.0 - p_top)
             token = max(logps, key=lambda t: logps[t])
             result = GenerationResult((token,), (logps[token],), (logps,))
         elif allowed_set == RELEVANCE_TOKENS:
@@ -272,11 +271,7 @@ class RuleBackend:
             answers = self.answers_by_question.get(question, ())
             relevant = any(a in passage for a in answers)
             p_rel = 0.75 + _jitter("judge", question, passage)
-            logps = _binary_logps(
-                ReflectiveToken.REL.value,
-                ReflectiveToken.NOREL.value,
-                p_rel if relevant else 1.0 - p_rel,
-            )
+            logps = _binary_logps(_REL, _NOREL, p_rel if relevant else 1.0 - p_rel)
             token = max(logps, key=lambda t: logps[t])
             result = GenerationResult((token,), (logps[token],), (logps,))
         else:

@@ -876,3 +876,22 @@ def test_rerank_sweep_external_strategy_builds_its_reranker(synthetic_files, tmp
     assert len(sweep["grid"]) == 4
     retrieving = sum(1 for s in load_samples(files.dataset) if s.gold_doc_id is not None)
     assert [path for path, _ in server.requests] == ["/v1/rerank"] * (retrieving * 4)
+
+
+@pytest.mark.parametrize("command", [["eval"], ["mine", "--stage", 2]])
+def test_index_naming_documents_the_kb_lacks_refuses_the_run(tmp_path, capsys, command):
+    big = make_synthetic_data(tmp_path / "big", docs=60, fact_samples=10, noret_samples=4,
+                              miss_samples=1, seed=7)
+    small = make_synthetic_data(tmp_path / "small", docs=30, fact_samples=10, noret_samples=4,
+                                miss_samples=1, seed=7)
+    indexed = [json.loads(line)["doc_id"] for line in (big / "index.jsonl").read_text().splitlines()[1:]]
+    kb_ids = {json.loads(line)["id"] for line in (small / "kb.jsonl").read_text().splitlines()[1:]}
+    missing = [doc_id for doc_id in indexed if doc_id not in kb_ids]
+    out = tmp_path / "out"
+    code = run([*command, "--kb", small / "kb.jsonl", "--index", big / "index.jsonl",
+                "--dataset", big / "dataset.jsonl", "--backend", "rule", "--out", out])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"names document {missing[0]!r}, which KB" in err
+    assert f"({len(missing)} such id(s))" in err
+    assert not out.exists() or not any(out.iterdir())

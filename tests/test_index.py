@@ -1,3 +1,4 @@
+import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -683,3 +684,23 @@ def test_longest_row_of_float32_rows_sums_its_squares_in_float64():
     expected = float(np.sqrt(np.einsum("ij,ij->i", wide, wide).max()))
     # float32 sums would be off by about dim * 2**-24 of it
     assert index._longest_row == pytest.approx(expected, rel=2.0**-45)
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"doc_id": "b"', r"line 3: malformed entry: Expecting ',' delimiter"),
+        ('{"doc_id": 5}', "line 3: doc_id must be a non-empty string"),
+        ('{"doc_id": ""}', "line 3: doc_id must be a non-empty string"),
+        ('{"id": "b"}', "line 3: doc_id must be a non-empty string"),
+        ('["b"]', "line 3: doc_id must be a non-empty string"),
+    ],
+)
+def test_load_index_names_the_file_and_line_of_a_bad_entry(tmp_path, entry, message):
+    path = tmp_path / "idx.jsonl"
+    save_index(make_index(np.eye(3).tolist(), ["a", "b", "c"]), path)
+    lines = path.read_text().splitlines()
+    lines[2] = entry
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_index(path)

@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
+from reflectrag import kb as kb_module
 from reflectrag.kb import (
+    Document,
     KBLoadError,
+    KnowledgeBase,
     Passage,
+    Section,
+    SourceManifest,
+    idx_path,
     load_kb,
     passages_of,
     save_kb,
@@ -206,3 +212,228 @@ def test_sidecar_errors_keep_line_order(tmp_path):
     docs[1]["title"] = ""
     with pytest.raises(KBLoadError, match="line 3: document 'd1': title must be non-empty"):
         load_kb(write_sidecar_kb(tmp_path, rows, docs))
+
+
+# --------------------------------------------------------------------------
+# Offset index (<stem>.idx)
+# --------------------------------------------------------------------------
+
+
+def saved_kb(path, embeddings="sidecar", count=4):
+    """``save_kb`` of a valid ``count``-document KB at ``path``."""
+    docs = [
+        doc_record(f"d{i}", title="ABCDEFGH"[i], sections=[f"Body {i}.", "More."],
+                   embedding=np.eye(4)[i % 4].tolist())
+        for i in range(count)
+    ]
+    save_kb(load_kb(write_kb_file(path.with_name("source.jsonl"), docs)), path, embeddings)
+    assert idx_path(path).exists()
+    return path
+
+
+def load_outcome(path):
+    """The loaded KB, or the message and line number of its error."""
+    try:
+        return load_kb(path)
+    except KBLoadError as exc:
+        return str(exc), exc.line_number
+
+
+ERROR_CASES = [
+    test_duplicate_id_cites_line,
+    test_malformed_json_cites_line,
+    test_non_unit_embedding_rejected,
+    test_embedding_length_mismatch_names_doc,
+    test_count_mismatch_rejected,
+    test_empty_section_body_rejected,
+    test_empty_title_rejected,
+    test_sidecar_inline_embedding_conflict,
+    test_sidecar_size_mismatch,
+    test_sidecar_errors_keep_line_order,
+]
+
+
+@pytest.mark.parametrize("case", ERROR_CASES, ids=lambda case: case.__name__)
+def test_error_case_with_an_index_written_for_another_kb(tmp_path, case):
+    saved_kb(tmp_path / "kb.jsonl")  # the case then rewrites kb.jsonl, not kb.idx
+    case(tmp_path)
+    assert idx_path(tmp_path / "kb.jsonl").exists()
+
+
+def edit_one_byte(path, old: bytes, new: bytes):
+    raw = path.read_bytes()
+    assert len(old) == len(new) == 1 and raw.count(old) >= 1
+    at = raw.index(old, raw.index(b"\n"))  # the first one after the manifest
+    path.write_bytes(raw[:at] + new + raw[at + 1:])
+
+
+@pytest.mark.parametrize("embeddings", ["inline", "sidecar"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (b"{", b"[", "line 2: malformed JSON"),
+        (b"A", b" ", "line 2: document 'd0': title must be non-empty"),
+        (b"B", b" ", None),  # "Body 0." -> " ody 0.": still valid
+        (b"1", b" ", None),  # an inline embedding value, or section title "S1"
+    ],
+)
+def test_one_byte_edit_after_the_index_is_validated_in_full(tmp_path, embeddings, old, new, message):
+    path = saved_kb(tmp_path / "kb.jsonl", embeddings)
+    edit_one_byte(path, old, new)
+    with_stale_index = load_outcome(path)
+    if message is not None:
+        assert with_stale_index[0].startswith(message)
+    idx_path(path).unlink()
+    assert load_outcome(path) == with_stale_index
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([2.0, 0.0, 0.0, 0.0], "line 4: document 'd2': embedding not unit-normalized (norm=2)"),
+        ([1.0, np.nan, 0.0, 0.0], "line 4: document 'd2': embedding not unit-normalized (norm=nan)"),
+    ],
+)
+def test_changed_sidecar_row_is_validated_in_full(tmp_path, row, message):
+    path = saved_kb(tmp_path / "kb.jsonl")
+    vec = np.fromfile(sidecar_path(path), dtype="<f4").reshape(4, 4)
+    vec[2] = row
+    vec.tofile(sidecar_path(path))
+    assert load_outcome(path) == (message, 4)
+    idx_path(path).unlink()
+    assert load_outcome(path) == (message, 4)
+
+
+def test_changed_unit_sidecar_row_is_read_from_the_sidecar(tmp_path):
+    path = saved_kb(tmp_path / "kb.jsonl")
+    vec = np.fromfile(sidecar_path(path), dtype="<f4").reshape(4, 4)
+    vec[2] = [0.0, 0.6, 0.8, 0.0]
+    vec.tofile(sidecar_path(path))
+    assert np.array_equal(load_kb(path).document("d2").image_embedding, vec[2])
+
+
+def test_matching_index_parses_documents_on_first_access(tmp_path, monkeypatch):
+    path = saved_kb(tmp_path / "kb.jsonl")
+    parsed = []
+    parse = kb_module._parse_document
+    monkeypatch.setattr(
+        kb_module, "_parse_document",
+        lambda obj, dim, line_no, *row: parsed.append(line_no) or parse(obj, dim, line_no, *row),
+    )
+    kb = load_kb(path)
+    assert parsed == []
+    assert len(kb) == 4 and kb.doc_ids() == ["d0", "d1", "d2", "d3"]
+    assert "d3" in kb and "nope" not in kb and "d3" in kb.documents
+    assert parsed == []
+    assert kb.document("d2").sections == (Section("S0", "Body 2."), Section("S1", "More."))
+    kb.document("d2")
+    assert parsed == [4]
+    with pytest.raises(LookupError, match="unknown document id"):
+        kb.document("nope")
+    idx_path(path).unlink()
+    assert load_kb(path) == kb
+    assert len(parsed) == 1 + 4 + 3  # d2, the full load, then kb's other three for ==
+
+
+@pytest.mark.parametrize("shift", ["next line", "mid line", "past the end"])
+def test_wrong_offset_raises_on_first_access(tmp_path, shift):
+    path = saved_kb(tmp_path / "kb.jsonl", "inline")
+    table = json.loads(idx_path(path).read_text())
+    offsets = table["offsets"]
+    offsets[1] = {
+        "next line": offsets[2],
+        "mid line": offsets[1] + 5,
+        "past the end": path.stat().st_size + 10,
+    }[shift]
+    idx_path(path).write_text(json.dumps(table))
+    kb = load_kb(path)
+    assert kb.document("d0").id == "d0"
+    with pytest.raises(KBLoadError, match="line 3: "):
+        kb.document("d1")
+
+
+@pytest.mark.parametrize("embeddings", ["inline", "sidecar"])
+def test_round_trip_with_and_without_the_index(tmp_path, embeddings):
+    docs = [
+        doc_record("a", sections=["alpha.", "beta."], summary="sum"),
+        doc_record("b", embedding=[0.0, 1.0, 0.0, 0.0]),
+        doc_record("c", sections=[]),
+    ]
+    if embeddings == "inline":
+        docs.append(doc_record("d", embedding=None))
+    kb = load_kb(write_kb_file(tmp_path / "kb.jsonl", docs))
+    out = save_kb(kb, tmp_path / "out.jsonl", embeddings)
+    lazy = load_kb(out)
+    idx_path(out).unlink()
+    full = load_kb(out)
+    assert lazy == kb and full == kb
+    assert lazy.source_manifest == full.source_manifest
+    assert lazy.source_manifest.embedding_storage == embeddings
+
+
+def test_missing_embedding_warning_with_the_index(tmp_path, caplog):
+    path = save_kb(
+        load_kb(write_kb_file(tmp_path / "src.jsonl", [doc_record("a"), doc_record("b", embedding=None)])),
+        tmp_path / "kb.jsonl",
+    )
+    assert idx_path(path).exists()
+    with caplog.at_level("WARNING"):
+        load_kb(path)
+    assert any("1/2 documents have no image embedding" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        Document("x", "  ", "", (Section("S", "text."),), None),
+        Document("x", "X", "", (Section("S", " "),), None),
+        Document("", "X", "", (), None),
+        Document("x", "X", "", (), np.asarray([0.5, 0.0, 0.0, 0.0], dtype=np.float32)),
+        Document("a", "Again", "", (), None),  # a second document with id "a"
+    ],
+)
+def test_save_kb_of_an_invalid_document_writes_no_index(tmp_path, bad):
+    good = Document("a", "A", "", (Section("S", "text."),), None)
+    kb = KnowledgeBase({"a": good, "bad": bad}, 4, SourceManifest("mem", 2, "", "memory"))
+    path = saved_kb(tmp_path / "kb.jsonl", "inline")  # leaves an index to replace
+    save_kb(kb, path)
+    assert not idx_path(path).exists()
+    with pytest.raises(KBLoadError, match="line 3: "):
+        load_kb(path)
+
+
+@pytest.mark.parametrize("record", ["5", '"doc"', "null", "[1]"])
+def test_record_that_is_not_an_object_cites_its_line(tmp_path, record):
+    path = tmp_path / "kb.jsonl"
+    path.write_text('{"manifest": true, "embedding_dim": 4, "count": 1}\n' + record + "\n")
+    with pytest.raises(KBLoadError, match="line 2: document record must be a JSON object"):
+        load_kb(path)
+
+
+def test_threads_reading_a_lazy_kb_see_the_documents_of_a_full_load(tmp_path):
+    import sys
+    import threading
+
+    path = saved_kb(tmp_path / "kb.jsonl", count=8)
+    kb = load_kb(path)
+    idx_path(path).unlink()
+    full = load_kb(path)
+    ids = full.doc_ids()
+    seen: list[list] = [[] for _ in range(8)]
+
+    def read(i):
+        for doc_id in ids[i % 8:] + ids[: i % 8]:
+            seen[i].append(kb.document(doc_id) == full.document(doc_id))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[True] * 8] * 8
