@@ -53,7 +53,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .kb import KBLoadError, KnowledgeBase, load_kb
+from .kb import KBLoadError, KnowledgeBase, load_kb, write_offset_index
 from .samples import QuerySample, SampleError, load_samples
 from .similarity import LexicalOverlapScorer
 from .synth import RuleBackend
@@ -252,6 +252,11 @@ def cmd_ingest(args: argparse.Namespace, config: RunConfig) -> int:
     out = _out_dir(config) / "ingest_stats.json"
     atomic_write_text(out, json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(f"stats written to {out}")
+    try:  # a cache beside the KB: without it, each run validates every document
+        if (idx := write_offset_index(kb)) is not None:
+            print(f"offset index written to {idx}")
+    except OSError as exc:
+        logger.warning("offset index not written: %s", exc)
     return EXIT_OK
 
 

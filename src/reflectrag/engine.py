@@ -217,7 +217,8 @@ def _read_reflection(
         logp_yes, logp_no = cands[yes], cands[no]  # a member hashes as its str
     except KeyError as exc:
         raise ProtocolViolationError(
-            f"{stage} step must report logprobs for both {stage} tokens: {exc}"
+            f"{stage} step must report logprobs for both {stage} tokens: "
+            f"{exc.args[0].value!r}"
         ) from exc
     return (yes if logp_yes > logp_no else no), logp_yes, logp_no
 

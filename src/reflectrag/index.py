@@ -599,6 +599,8 @@ def load_index(path: str | Path) -> DenseIndex:
     if raw.size != count * dim:
         raise ValueError(f"{path}: sidecar size mismatch")
     try:
-        return DenseIndex(mode, dim, tuple(doc_ids), raw.reshape(count, dim))
+        return DenseIndex(
+            mode=mode, dim=dim, doc_ids=tuple(doc_ids), matrix=raw.reshape(count, dim)
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

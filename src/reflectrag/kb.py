@@ -17,7 +17,8 @@ null and a ``<stem>.vec`` file holds N rows of D little-endian float32 values,
 one row per document in file order; it is memory-mapped read-only.
 
 :func:`save_kb` also writes ``<stem>.idx`` when every record passes the
-checks: the KB's sha256 and each document's id and byte offset. When the
+checks, and :func:`write_offset_index` does for a KB :func:`load_kb` read:
+the KB's sha256 and each document's id and byte offset. When the
 sha256 matches and every sidecar row is unit-norm, :func:`load_kb` parses a
 document on first access, with the same checks; otherwise it validates all
 of them, so deleting the ``.idx`` is always safe.
@@ -31,7 +32,6 @@ import math
 from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -215,7 +215,8 @@ class _Documents(Mapping):
         if doc is None:
             row = self._rows[doc_id]
             start = self._offsets[row]
-            line = self._raw[start : self._raw.find(b"\n", start)].decode()
+            end = self._raw.find(b"\n", start)  # -1 on a last line with no "\n"
+            line = self._raw[start : None if end < 0 else end].decode()
             vec = () if self._sidecar is None else (self._sidecar[row], True)  # all cleared
             doc = _parse_document(line, self._dim, row + 2, *vec)
             if doc.id != doc_id:
@@ -251,11 +252,14 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     path = Path(path)
     raw = path.read_bytes()
     checksum = hashlib.sha256(raw).hexdigest()
-    table = None  # (ids, offsets, missing embeddings) of an .idx for these bytes
+    table = None  # (ids, offsets, missing embeddings) of a well-formed .idx for these bytes
     with suppress(OSError, ValueError, KeyError, TypeError):
         idx = json.loads(idx_path(path).read_bytes())
-        if idx["sha256"] == checksum:
-            table = idx["ids"], idx["offsets"], idx["missing_embeddings"]
+        ids, offsets, missing = idx["ids"], idx["offsets"], idx["missing_embeddings"]
+        if (idx["sha256"] == checksum and len(ids) == len(offsets) == len(set(ids))
+                and type(missing) is int and all(type(i) is str for i in ids)
+                and all(type(o) is int for o in offsets)):
+            table = ids, offsets, missing
     lines = None if table else raw.decode("utf-8").splitlines()
     if lines == []:
         raise KBLoadError("empty file", 1)
@@ -293,11 +297,11 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         squares = np.einsum("ij,ij->i", sidecar, sidecar, dtype=np.float64)
         cleared = np.abs(squares - 1.0) <= UNIT_NORM_TOL
 
-    if table is not None and (sidecar is None or cleared.all()):
+    if table is not None and len(table[0]) == count and (sidecar is None or cleared.all()):
         ids, offsets, missing_embeddings = table
         documents = _Documents(dict(zip(ids, range(len(ids)))), raw, offsets, dim, sidecar)
     else:
-        if lines is None:  # an .idx matched, but a sidecar row needs the per-row check
+        if lines is None:  # the .idx's count is not the manifest's, or a row needs its check
             lines = raw.decode("utf-8").splitlines()
         documents = _Documents({})
         body_lines = [(i + 2, line) for i, line in enumerate(lines[1:]) if line.strip()]
@@ -351,7 +355,6 @@ def save_kb(kb: KnowledgeBase, path: str | Path, embeddings: str = "inline") -> 
         manifest["embeddings"] = "sidecar"
     lines = [json_line(manifest)]
     rows = []
-    ids = []
     checked = True  # every record so far passes load_kb's checks
     for line_no, doc in enumerate(kb.documents.values(), start=2):
         row = emb_field = None
@@ -372,7 +375,6 @@ def save_kb(kb: KnowledgeBase, path: str | Path, embeddings: str = "inline") -> 
             "image_embedding": emb_field,
         }
         lines.append(json_line(record))
-        ids.append(doc.id)
         if checked:
             try:
                 _parse_document(record, kb.embedding_dim, line_no, row)
@@ -382,15 +384,42 @@ def save_kb(kb: KnowledgeBase, path: str | Path, embeddings: str = "inline") -> 
         atomic_write_bytes(sidecar_path(path), np.vstack(rows).tobytes(order="C"))
     data = ("\n".join(lines) + "\n").encode("utf-8")
     atomic_write_bytes(path, data)
-    if checked and len(set(ids)) == len(ids):
-        table = {
-            "sha256": hashlib.sha256(data).hexdigest(),
-            "missing_embeddings": sum(d.image_embedding is None for d in kb.documents.values()),
-            "ids": ids,  # json_line writes ASCII, so a line's length is its byte count
-            "offsets": list(accumulate(len(line) + 1 for line in lines[:-1])),
-        }
-        atomic_write_bytes(idx_path(path), json_line(table).encode("ascii"))
+    if checked:
+        _write_offset_index(path, data, kb.documents.values())
     return path
+
+
+def write_offset_index(kb: KnowledgeBase) -> Path | None:
+    """Write the offset index of a KB :func:`load_kb` read, after checking every
+    document, if its file is unchanged since. Returns the ``.idx`` path, if written."""
+    path = Path(kb.source_manifest.path)
+    data = path.read_bytes()
+    docs = list(kb.documents.values())  # parses every document not parsed yet
+    unchanged = hashlib.sha256(data).hexdigest() == kb.source_manifest.checksum
+    return idx_path(path) if unchanged and _write_offset_index(path, data, docs) else None
+
+
+# Line breaks, other than "\n" and "\r\n", at which str.splitlines splits a line
+_OTHER_BREAKS = tuple(c.encode() for c in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _write_offset_index(path: Path, data: bytes, docs) -> bool:
+    """Write ``<stem>.idx`` for the KB file ``path`` holding ``data``, whose records,
+    ``docs`` in file order, pass :func:`load_kb`'s checks; unless a line after the
+    manifest is blank or holds other than one whole record."""
+    ids = [d.id for d in docs]
+    offsets, start = [], data.find(b"\n") + 1
+    while 0 < start < len(data):
+        offsets.append(start)
+        start = data.find(b"\n", start) + 1
+    if (len(offsets) != len(ids) or len(set(ids)) != len(ids)
+            or any(b in data for b in _OTHER_BREAKS) or data.count(b"\r") != data.count(b"\r\n")):
+        return False
+    missing = sum(d.image_embedding is None for d in docs)
+    table = {"sha256": hashlib.sha256(data).hexdigest(), "missing_embeddings": missing,
+             "ids": ids, "offsets": offsets}
+    atomic_write_bytes(idx_path(path), json_line(table).encode("ascii"))
+    return True
 
 
 def passages_of(kb: KnowledgeBase, doc_id: str) -> list[Passage]:

@@ -21,7 +21,7 @@ from reflectrag.cli import (
     main,
 )
 from reflectrag.engine import PipelineConfig, RerankConfig
-from reflectrag.kb import Passage
+from reflectrag.kb import Passage, load_kb
 from reflectrag.prompts import PromptSegment, PromptStage, SegmentKind, build_prompt
 from reflectrag.samples import load_samples
 from reflectrag.synth import RuleBackend
@@ -61,6 +61,23 @@ class TestIngest:
         stats = json.loads((tmp_path / "out" / "ingest_stats.json").read_text())
         assert stats["documents"] == 3
         assert stats["embedding_dim"] == 4
+
+    def test_writes_the_offset_index_of_the_kb(self, tmp_path, capsys):
+        path = write_kb_file(tmp_path / "kb.jsonl", [doc_record("a"), doc_record("b")])
+        full = load_kb(path)
+        code = run(["ingest", path, "--out", tmp_path / "out"])
+        assert code == 0
+        assert f"offset index written to {tmp_path / 'kb.idx'}" in capsys.readouterr().out
+        assert json.loads((tmp_path / "kb.idx").read_text())["ids"] == ["a", "b"]
+        assert load_kb(path) == full
+
+    def test_unwritable_offset_index_is_a_warning(self, tmp_path, capsys, caplog):
+        path = write_kb_file(tmp_path / "kb.jsonl", [doc_record("a")])
+        (tmp_path / "kb.idx").mkdir()  # the atomic replace cannot put a file there
+        code = run(["ingest", path, "--out", tmp_path / "out"])
+        assert code == 0
+        assert "offset index written" not in capsys.readouterr().out
+        assert "offset index not written" in caplog.text
 
     def test_duplicate_id_exits_2_and_names_line(self, tmp_path, capsys):
         docs = [doc_record(f"d{i}") for i in range(5)] + [doc_record("d2")]

@@ -133,10 +133,12 @@ def test_step_missing_a_logprob_fails_at_its_scope(stage, caplog):
     )
     kb = suite.build_kb()
     index = build_index(kb, RetrievalMode.VISUAL)
-    message = f"{stage} step must report logprobs for both {stage} tokens"
+    missing = "'<NORET>'" if stage == "decision" else "'<NOREL>'"
+    message = f"{stage} step must report logprobs for both {stage} tokens: {missing}"
     if stage == "decision":  # the decision is the sample's: the sample fails
-        with pytest.raises(ProtocolViolationError, match=message):
+        with pytest.raises(ProtocolViolationError) as exc_info:
             suite.run_scenario(kb, index, scenario, "one-sided")
+        assert str(exc_info.value) == message
         return
     trace, _ = suite.run_scenario(kb, index, scenario, "one-sided")  # one judgment lost
     assert trace.judge_failures == 1

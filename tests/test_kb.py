@@ -16,6 +16,7 @@ from reflectrag.kb import (
     passages_of,
     save_kb,
     sidecar_path,
+    write_offset_index,
 )
 
 from conftest import doc_record, write_kb_file
@@ -437,3 +438,99 @@ def test_threads_reading_a_lazy_kb_see_the_documents_of_a_full_load(tmp_path):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert seen == [[True] * 8] * 8
+
+
+def count_parses(monkeypatch) -> list:
+    """The line numbers :func:`kb._parse_document` is called with, from now on."""
+    parsed = []
+    parse = kb_module._parse_document
+    monkeypatch.setattr(
+        kb_module, "_parse_document",
+        lambda obj, dim, line_no, *row: parsed.append(line_no) or parse(obj, dim, line_no, *row),
+    )
+    return parsed
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda t: t.update(ids=t["ids"][:3], offsets=t["offsets"][:3]),  # a truncated table
+        lambda t: t.update(ids=t["ids"][:3]),
+        lambda t: t.update(offsets=t["offsets"][:3]),
+        lambda t: t["ids"].__setitem__(3, "d0"),  # a duplicate id
+        lambda t: t["ids"].__setitem__(1, 7),
+        lambda t: t["offsets"].__setitem__(1, str(t["offsets"][1])),
+        lambda t: t["offsets"].__setitem__(1, True),
+        lambda t: t.update(missing_embeddings="0"),
+        lambda t: t.update(ids={"d0": 0}),
+    ],
+)
+def test_malformed_index_for_these_bytes_is_validated_in_full(tmp_path, monkeypatch, mangle):
+    path = saved_kb(tmp_path / "kb.jsonl", "inline")
+    full = load_kb(path)
+    table = json.loads(idx_path(path).read_text())
+    mangle(table)
+    idx_path(path).write_text(json.dumps(table))
+    parsed = count_parses(monkeypatch)
+    assert load_kb(path) == full
+    assert parsed[:4] == [2, 3, 4, 5]  # every document, at load
+
+
+def hand_written_kb(path, ends=("\n",) * 4):
+    """A valid KB as another tool might write it: spaces in its JSON, a
+    non-ASCII title, and ``ends`` after the manifest and each record."""
+    docs = [doc_record("a", title="Café au lait"), doc_record("b", embedding=None), doc_record("c")]
+    lines = [json.dumps({"manifest": True, "embedding_dim": 4, "count": 3})]
+    lines += [json.dumps(d, ensure_ascii=False) for d in docs]
+    path.write_bytes("".join(line + end for line, end in zip(lines, ends)).encode("utf-8"))
+    return path
+
+
+@pytest.mark.parametrize("ends", [("\n",) * 4, ("\r\n",) * 4, ("\n", "\n", "\n", "")])
+def test_write_offset_index_of_a_kb_from_other_tools(tmp_path, monkeypatch, ends):
+    path = hand_written_kb(tmp_path / "kb.jsonl", ends)
+    full = load_kb(path)
+    assert write_offset_index(full) == idx_path(path)
+    parsed = count_parses(monkeypatch)
+    lazy = load_kb(path)
+    assert parsed == []
+    assert lazy == full and lazy.source_manifest == full.source_manifest
+    assert sorted(parsed) == [2, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [
+        ("\n", "\n  \n", "\n", "\n"),  # a blank line
+        ("\n", "\u2028\n", "\u2028\n", "\u2028\n"),  # str.splitlines ends a line at U+2028
+        ("\n", "\r", "\n \n", "\n"),  # two records on one "\n" line, and a blank one
+        ("\n", "\x1c", "\n\t\n", "\n"),
+        ("\n", "\u2029", "\n\xa0\n", "\n"),
+    ],
+)
+def test_write_offset_index_skips_a_kb_not_one_record_per_line(tmp_path, ends):
+    path = hand_written_kb(tmp_path / "kb.jsonl", ends)
+    full = load_kb(path)
+    assert write_offset_index(full) is None
+    assert not idx_path(path).exists()
+    assert load_kb(path) == full
+
+
+def test_write_offset_index_checks_every_document_and_the_file(tmp_path):
+    path = saved_kb(tmp_path / "kb.jsonl", "inline")
+    saved = idx_path(path).read_bytes()
+    kb = load_kb(path)  # lazily, from the index save_kb wrote
+    idx_path(path).unlink()
+    assert write_offset_index(kb) == idx_path(path)
+    assert idx_path(path).read_bytes() == saved
+    edit_one_byte(path, b"A", b"Z")  # changed since load: d0's title
+    idx_path(path).unlink()
+    assert write_offset_index(kb) is None and not idx_path(path).exists()
+    path = saved_kb(tmp_path / "kb.jsonl", "inline")
+    kb = load_kb(path)
+    table = json.loads(idx_path(path).read_text())
+    table["offsets"][2] = table["offsets"][1]
+    idx_path(path).write_text(json.dumps(table))
+    kb = load_kb(path)
+    with pytest.raises(KBLoadError, match="line 4: offset index gives 'd2' the line of 'd1'"):
+        write_offset_index(kb)
