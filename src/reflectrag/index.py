@@ -44,7 +44,7 @@ import numpy as np
 
 from ._http import ServiceClient
 from .kb import KnowledgeBase, Passage, passages_of, sidecar_path
-from .util import atomic_write_bytes, json_line
+from .util import atomic_write_bytes, decode_utf8, is_json_numbers, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +98,7 @@ class RemoteTextEmbedder:
     def embed(self, text: str) -> np.ndarray:
         body = self.client.post("/v1/embed", json.dumps({"texts": [text]}).encode())
         vector = body["embeddings"][0]
-        # Exact types: numpy would read "0.6" and true as numbers.
-        if not isinstance(vector, list) or any(type(x) not in (int, float) for x in vector):
+        if not is_json_numbers(vector):
             raise TypeError(f"embedding is not a list of JSON numbers: {vector!r:.200}")
         return np.asarray(vector, dtype=np.float64)
 
@@ -574,13 +573,22 @@ def save_index(index: DenseIndex, path: str | Path) -> Path:
 
 def load_index(path: str | Path) -> DenseIndex:
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = decode_utf8(path.read_bytes(), path, ValueError).splitlines()
     if not lines:
         raise ValueError(f"{path}: empty index file")
-    header = json.loads(lines[0])
-    mode = RetrievalMode(header["mode"])
-    dim = int(header["dim"])
-    count = int(header["count"])
+    try:
+        header = json.loads(lines[0])
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line 1: malformed header: {exc.msg}") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: line 1: header must be a JSON object")
+    modes = [m.value for m in RetrievalMode]
+    if header.get("mode") not in modes:
+        raise ValueError(f"{path}: line 1: mode must be one of {modes}, not {header.get('mode')!r}")
+    mode, dim, count = RetrievalMode(header["mode"]), header.get("dim"), header.get("count")
+    for key, value in (("dim", dim), ("count", count)):
+        if type(value) is not int or value < 1:
+            raise ValueError(f"{path}: line 1: {key} must be a positive int, not {value!r}")
     doc_ids: list[str] = []
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():

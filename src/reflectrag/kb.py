@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write_bytes, json_line
+from .util import atomic_write_bytes, decode_utf8, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -260,7 +260,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
                 and type(missing) is int and all(type(i) is str for i in ids)
                 and all(type(o) is int for o in offsets)):
             table = ids, offsets, missing
-    lines = None if table else raw.decode("utf-8").splitlines()
+    lines = None if table else decode_utf8(raw, path, KBLoadError).splitlines()
     if lines == []:
         raise KBLoadError("empty file", 1)
 
@@ -302,7 +302,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         documents = _Documents(dict(zip(ids, range(len(ids)))), raw, offsets, dim, sidecar)
     else:
         if lines is None:  # the .idx's count is not the manifest's, or a row needs its check
-            lines = raw.decode("utf-8").splitlines()
+            lines = decode_utf8(raw, path, KBLoadError).splitlines()
         documents = _Documents({})
         body_lines = [(i + 2, line) for i, line in enumerate(lines[1:]) if line.strip()]
         if len(body_lines) != count:

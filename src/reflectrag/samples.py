@@ -3,8 +3,14 @@
 Dataset files are JSONL, one sample per line::
 
     {"id": str, "question": str, "image_ref": str,
-     "image_embedding": [f32...] | null, "gold_answers": [str, ...],
+     "image_embedding": [f32...] | {"row": int} | null, "gold_answers": [str, ...],
      "gold_doc_id": str | null, "dataset": str, "split": str}
+
+An embedding is either inline, a list of JSON numbers, or ``{"row": i}``: row
+``i`` of ``<stem>.npy`` beside the file, a 2-D little-endian float32 NumPy
+array that :func:`load_samples` memory-maps read-only. :func:`save_samples`
+writes the row form, one row per sample with an embedding, in file order;
+:func:`sample_to_dict` gives the inline form. A file may mix both forms.
 
 Two optional keys are accepted: ``"subset"`` (an evaluation-split tag such as
 ``unseen_q`` / ``unseen_e`` / ``single_hop``, used for report breakdowns) and
@@ -20,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write_bytes, json_line
+from .util import atomic_open, atomic_write_bytes, decode_utf8, is_json_numbers, json_line
 
 
 class SampleError(ValueError):
@@ -90,16 +96,48 @@ def sample_to_dict(sample: QuerySample) -> dict:
     return out
 
 
+def embeddings_path(path: str | Path) -> Path:
+    return Path(path).with_suffix(".npy")
+
+
+def _embedding_rows(path: Path) -> np.ndarray:
+    npy = embeddings_path(path)
+    try:
+        rows = np.lib.format.open_memmap(npy, mode="r")
+    except FileNotFoundError:
+        raise SampleError(f"{npy}: embeddings file not found") from None
+    except (OSError, ValueError) as exc:
+        raise SampleError(f"{npy}: not a NumPy array file: {exc}") from None
+    if rows.ndim != 2 or rows.dtype.str != "<f4":
+        raise SampleError(
+            f"{npy}: holds a {rows.ndim}-D {rows.dtype.str} array, not a 2-D <f4 one")
+    return np.asarray(rows)
+
+
 def load_samples(path: str | Path) -> list[QuerySample]:
+    path = Path(path)
     samples = []
     seen: set[str] = set()
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    rows = None  # <stem>.npy, opened at the first line that names a row of it
+    text = decode_utf8(path.read_bytes(), path, SampleError)
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SampleError(f"{path}: line {line_no}: malformed JSON: {exc.msg}")
+        emb = obj.get("image_embedding")
+        if type(emb) is dict:
+            rows = _embedding_rows(path) if rows is None else rows
+            row = emb.get("row")
+            if emb.keys() != {"row"} or type(row) is not int or not 0 <= row < len(rows):
+                raise SampleError(f"{path}: line {line_no}: image_embedding {json_line(emb)} "
+                                  f'is not {{"row": i}} with 0 <= i < {len(rows)}')
+            obj["image_embedding"] = rows[row]
+        elif emb is not None and not is_json_numbers(emb):
+            raise SampleError(f"{path}: line {line_no}: image_embedding must be null, "
+                              'a list of JSON numbers or {"row": i}')
         sample = sample_from_dict(obj)
         if sample.id in seen:
             raise SampleError(f"{path}: line {line_no}: duplicate sample id {sample.id!r}")
@@ -109,6 +147,21 @@ def load_samples(path: str | Path) -> list[QuerySample]:
 
 
 def save_samples(samples: list[QuerySample], path: str | Path) -> Path:
-    lines = [json_line(sample_to_dict(s)) for s in samples]
+    """Write ``samples`` atomically: first the embeddings, as rows of
+    ``<stem>.npy``, then the JSONL. Embeddings that are not all 1-D of one
+    length stay inline, and a file with no embeddings gets no ``.npy``."""
+    path = Path(path)
+    records = [sample_to_dict(s) for s in samples]
+    rows = [s.image_embedding for s in samples if s.image_embedding is not None]
+    sidecar = len({e.shape for e in rows}) == 1 and rows[0].ndim == 1
+    if sidecar:
+        with atomic_open(embeddings_path(path), "wb") as fh:
+            np.save(fh, np.stack(rows).astype("<f4"))
+        embedded = (r for r in records if r["image_embedding"] is not None)
+        for row, record in enumerate(embedded):
+            record["image_embedding"] = {"row": row}
+    lines = [json_line(r) for r in records]
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return Path(path)
+    if not sidecar:
+        embeddings_path(path).unlink(missing_ok=True)
+    return path

@@ -1,4 +1,5 @@
-"""Shared helpers: compact JSON lines, atomic file writes (one-shot and
+"""Shared helpers: compact JSON lines, a check for lists of JSON numbers,
+UTF-8 decoding that names the bad line, atomic file writes (one-shot and
 streamed), and config dataclasses to and from JSON objects, typed by their
 field annotations."""
 from __future__ import annotations
@@ -51,6 +52,23 @@ def atomic_open(path: str | Path, mode: str = "w") -> Iterator[IO]:
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     with atomic_open(path, "wb") as fh:
         fh.write(data)
+
+
+def is_json_numbers(value: Any) -> bool:
+    """Whether ``value`` is a list of JSON numbers. Types are exact, since numpy
+    would read ``"0.6"`` and ``true`` as numbers."""
+    return type(value) is list and set(map(type, value)) <= {int, float}
+
+
+def decode_utf8(raw: bytes, path: str | Path, error: type[Exception]) -> str:
+    """``raw``, the bytes of file ``path``, decoded as UTF-8; a byte that is
+    not UTF-8 raises ``error`` naming the path and the byte's 1-based line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = raw.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: line {line_no}: byte 0x{raw[exc.start]:02x} "
+                    f"is not UTF-8 ({exc.reason})") from None
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

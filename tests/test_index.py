@@ -704,3 +704,39 @@ def test_load_index_names_the_file_and_line_of_a_bad_entry(tmp_path, entry, mess
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
         load_index(path)
+
+
+MODES = "['textual_title', 'textual_title_summary', 'visual']"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ('{"mode": "visual", "dim": 3, "count": 3', "malformed header: Expecting ',' delimiter"),
+        ('["visual", 3, 3]', "header must be a JSON object"),
+        ('{"dim": 3, "count": 3}', f"mode must be one of {MODES}, not None"),
+        ('{"mode": "pixels", "dim": 3, "count": 3}', f"mode must be one of {MODES}, not 'pixels'"),
+        ('{"mode": "visual", "count": 3}', "dim must be a positive int, not None"),
+        ('{"mode": "visual", "dim": "3", "count": 3}', "dim must be a positive int, not '3'"),
+        ('{"mode": "visual", "dim": 3.0, "count": 3}', "dim must be a positive int, not 3.0"),
+        ('{"mode": "visual", "dim": 3, "count": true}', "count must be a positive int, not True"),
+        ('{"mode": "visual", "dim": 3, "count": 0}', "count must be a positive int, not 0"),
+    ],
+)
+def test_load_index_names_the_file_and_line_of_a_bad_header(tmp_path, header, message):
+    path = tmp_path / "idx.jsonl"
+    save_index(make_index(np.eye(3).tolist(), ["a", "b", "c"]), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([header, *lines[1:]]) + "\n")
+    with pytest.raises(ValueError) as exc_info:
+        load_index(path)
+    assert str(exc_info.value) == f"{path}: line 1: {message}"
+
+
+def test_load_index_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "idx.jsonl"
+    save_index(make_index(np.eye(3).tolist(), ["a", "b", "c"]), path)
+    path.write_bytes(path.read_bytes().replace(b'"c"', b'"\xffc"'))
+    with pytest.raises(ValueError) as exc_info:
+        load_index(path)
+    assert str(exc_info.value) == f"{path}: line 4: byte 0xff is not UTF-8 (invalid start byte)"
