@@ -35,7 +35,7 @@ from .metrics import (
 )
 from .samples import QuerySample
 from .tokens import ReflectiveToken
-from .util import atomic_write_text, json_line
+from .util import atomic_write_text, decode_utf8, json_line, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -379,11 +379,21 @@ class TokenExpectation:
 
 
 def load_expectations(path: str | Path) -> list[TokenExpectation]:
+    """The expectations of a JSONL file; a line that is not a JSON object with
+    an ``id`` raises ``ValueError`` naming the file and its 1-based line."""
+    path = Path(path)
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    lines = decode_utf8(path.read_bytes(), path, ValueError).splitlines()
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        obj = json.loads(line)
+        try:
+            obj = json_value(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from None
+        if type(obj) is not dict or "id" not in obj:
+            raise ValueError(f"{path}: line {line_no}: an expectation must be "
+                             "a JSON object with an 'id'")
         out.append(
             TokenExpectation(
                 sample_id=str(obj["id"]),

@@ -25,7 +25,8 @@ dimension, so the thread count does not change any bits.
 
 Index file format: a JSON manifest line ``{"mode","dim","count"}``, one
 ``{"doc_id"}`` line per entry, and a ``<stem>.vec`` sidecar of little-endian
-float32 rows in entry order, which a loaded index holds as its matrix.
+float32 rows in entry order, exactly ``count * dim * 4`` bytes, which a loaded
+index memory-maps read-only as its matrix.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ import numpy as np
 
 from ._http import ServiceClient
 from .kb import KnowledgeBase, Passage, passages_of, sidecar_path
-from .util import atomic_write_bytes, decode_utf8, is_json_numbers, json_line
+from .util import atomic_write_bytes, decode_utf8, is_json_numbers, json_line, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -594,7 +595,7 @@ def load_index(path: str | Path) -> DenseIndex:
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
+            entry = json_value(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {line_no}: malformed entry: {exc.msg}") from None
         doc_id = entry.get("doc_id") if isinstance(entry, dict) else None
@@ -603,12 +604,11 @@ def load_index(path: str | Path) -> DenseIndex:
         doc_ids.append(doc_id)
     if len(doc_ids) != count:
         raise ValueError(f"{path}: header count {count} != {len(doc_ids)} entries")
-    raw = np.fromfile(sidecar_path(path), dtype="<f4")
-    if raw.size != count * dim:
+    vec = sidecar_path(path)
+    if vec.stat().st_size != count * dim * 4:
         raise ValueError(f"{path}: sidecar size mismatch")
+    matrix = np.asarray(np.memmap(vec, "<f4", "r", shape=(count, dim)))
     try:
-        return DenseIndex(
-            mode=mode, dim=dim, doc_ids=tuple(doc_ids), matrix=raw.reshape(count, dim)
-        )
+        return DenseIndex(mode=mode, dim=dim, doc_ids=tuple(doc_ids), matrix=matrix)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

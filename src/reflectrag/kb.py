@@ -14,7 +14,8 @@ File format::
 
 With ``"embeddings": "sidecar"`` in the manifest, inline embeddings must be
 null and a ``<stem>.vec`` file holds N rows of D little-endian float32 values,
-one row per document in file order; it is memory-mapped read-only.
+one row per document in file order, exactly ``N * D * 4`` bytes; it is
+memory-mapped read-only.
 
 :func:`save_kb` also writes ``<stem>.idx`` when every record passes the
 checks, and :func:`write_offset_index` does for a KB :func:`load_kb` read:
@@ -36,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_write_bytes, decode_utf8, json_line
+from .util import atomic_write_bytes, decode_utf8, json_line, json_value
 
 logger = logging.getLogger(__name__)
 
@@ -164,7 +165,7 @@ def _parse_document(
     ``row`` is its sidecar row, whose norm is checked unless ``row_cleared``."""
     if isinstance(obj, str):
         try:
-            obj = json.loads(obj)
+            obj = json_value(obj)
         except json.JSONDecodeError as exc:
             raise KBLoadError(f"malformed JSON: {exc.msg}", line_no) from exc
     if not isinstance(obj, dict):
@@ -252,14 +253,15 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     path = Path(path)
     raw = path.read_bytes()
     checksum = hashlib.sha256(raw).hexdigest()
-    table = None  # (ids, offsets, missing embeddings) of a well-formed .idx for these bytes
+    table = None  # (id -> row, offsets, missing embeddings) of a well-formed .idx for these bytes
     with suppress(OSError, ValueError, KeyError, TypeError):
         idx = json.loads(idx_path(path).read_bytes())
         ids, offsets, missing = idx["ids"], idx["offsets"], idx["missing_embeddings"]
-        if (idx["sha256"] == checksum and len(ids) == len(offsets) == len(set(ids))
-                and type(missing) is int and all(type(i) is str for i in ids)
-                and all(type(o) is int for o in offsets)):
-            table = ids, offsets, missing
+        if (idx["sha256"] == checksum and type(missing) is int
+                and set(map(type, ids)) <= {str} and set(map(type, offsets)) <= {int}):
+            rows = dict(zip(ids, range(len(ids))))
+            if len(ids) == len(offsets) == len(rows):
+                table = rows, offsets, missing
     lines = None if table else decode_utf8(raw, path, KBLoadError).splitlines()
     if lines == []:
         raise KBLoadError("empty file", 1)
@@ -286,11 +288,12 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         vec_path = sidecar_path(path)
         if not vec_path.exists():
             raise KBLoadError(f"sidecar file not found: {vec_path}", 1)
-        floats = vec_path.stat().st_size // 4
-        if floats != count * dim:
-            raise KBLoadError(f"sidecar holds {floats} floats, expected {count}x{dim}", 1)
+        size = vec_path.stat().st_size
+        if size != count * dim * 4:
+            held = f"{size} bytes" if size % 4 else f"{size // 4} floats"
+            raise KBLoadError(f"sidecar holds {held}, expected {count}x{dim}", 1)
         sidecar = np.zeros((0, dim), "<f4")  # mmap cannot map an empty file
-        if floats:
+        if size:
             sidecar = np.asarray(np.memmap(vec_path, "<f4", "r", shape=(count, dim)))
         # |n*n - 1| <= tol implies |n - 1| < tol, so one float64 pass clears
         # the rows that need no check; the rest get the per-row check in order.
@@ -298,8 +301,8 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         cleared = np.abs(squares - 1.0) <= UNIT_NORM_TOL
 
     if table is not None and len(table[0]) == count and (sidecar is None or cleared.all()):
-        ids, offsets, missing_embeddings = table
-        documents = _Documents(dict(zip(ids, range(len(ids)))), raw, offsets, dim, sidecar)
+        rows, offsets, missing_embeddings = table
+        documents = _Documents(rows, raw, offsets, dim, sidecar)
     else:
         if lines is None:  # the .idx's count is not the manifest's, or a row needs its check
             lines = decode_utf8(raw, path, KBLoadError).splitlines()

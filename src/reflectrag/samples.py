@@ -12,6 +12,10 @@ array that :func:`load_samples` memory-maps read-only. :func:`save_samples`
 writes the row form, one row per sample with an embedding, in file order;
 :func:`sample_to_dict` gives the inline form. A file may mix both forms.
 
+:func:`load_samples` decodes each line with :func:`~reflectrag.util.json_value`
+and rejects, naming the file and the 1-based line, one that is not a JSON
+object, lacks ``id``, ``question`` or ``image_ref``, or repeats an id.
+
 Two optional keys are accepted: ``"subset"`` (an evaluation-split tag such as
 ``unseen_q`` / ``unseen_e`` / ``single_hop``, used for report breakdowns) and
 ``"captions"`` (precomputed image descriptions, kept through load and save;
@@ -26,7 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .util import atomic_open, atomic_write_bytes, decode_utf8, is_json_numbers, json_line
+from .util import (
+    atomic_open, atomic_write_bytes, decode_utf8, is_json_numbers, json_line, json_value,
+)
 
 
 class SampleError(ValueError):
@@ -124,9 +130,14 @@ def load_samples(path: str | Path) -> list[QuerySample]:
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = json_value(line)
         except json.JSONDecodeError as exc:
             raise SampleError(f"{path}: line {line_no}: malformed JSON: {exc.msg}")
+        if type(obj) is not dict:
+            raise SampleError(f"{path}: line {line_no}: a sample must be a JSON object")
+        for key in ("id", "question", "image_ref"):
+            if key not in obj:
+                raise SampleError(f"{path}: line {line_no}: missing required key {key!r}")
         emb = obj.get("image_embedding")
         if type(emb) is dict:
             rows = _embedding_rows(path) if rows is None else rows

@@ -1,7 +1,7 @@
-"""Shared helpers: compact JSON lines, a check for lists of JSON numbers,
-UTF-8 decoding that names the bad line, atomic file writes (one-shot and
-streamed), and config dataclasses to and from JSON objects, typed by their
-field annotations."""
+"""Shared helpers: compact JSON lines and an exact fast reader for them, a
+check for lists of JSON numbers, UTF-8 decoding that names the bad line,
+atomic file writes (one-shot and streamed), and config dataclasses to and
+from JSON objects, typed by their field annotations."""
 from __future__ import annotations
 
 import contextlib
@@ -23,6 +23,24 @@ _COMPACT = json.JSONEncoder(separators=(",", ":"), ensure_ascii=True)
 def json_line(obj: Any) -> str:
     """Compact single-line JSON preserving dict insertion order."""
     return _COMPACT.encode(obj)
+
+
+_SCAN = json.JSONDecoder().scan_once
+
+
+def json_value(line: str) -> Any:
+    """``json.loads(line)``: the same value, or the same exception.
+
+    A line that holds just one JSON value, as :func:`json_line` writes it, is
+    decoded by one call of the C scanner, without ``json.loads``'s Python
+    layers. Anything else (whitespace around the value, a BOM, an empty or
+    malformed line) goes to ``json.loads`` itself.
+    """
+    try:
+        value, end = _SCAN(line, 0)
+    except (StopIteration, ValueError):  # json.loads raises its own error
+        return json.loads(line)
+    return value if end == len(line) else json.loads(line)
 
 
 @contextlib.contextmanager

@@ -359,6 +359,23 @@ class TestSweepAndTokenAcc:
         assert report["classes"]["ret"]["total"] == 9
 
 
+    def test_token_acc_names_the_line_of_a_bad_expectation(self, synthetic_files, tmp_path,
+                                                           capsys):
+        expectations = tmp_path / "expectations.jsonl"
+        expectations.write_text(synthetic_files.expectations.read_text() + '{"passages": []}\n')
+        line_no = len(expectations.read_text().splitlines())
+        code = run([
+            "token-acc", "--kb", synthetic_files.kb, "--index", synthetic_files.index,
+            "--dataset", synthetic_files.dataset, "--expectations", expectations,
+            "--backend", "rule", "--out", tmp_path / "tok",
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {expectations}: line {line_no}: an expectation must be "
+            "a JSON object with an 'id'\n"
+        )
+
+
 class TestEndpointEnvOverride:
     def test_env_var_overrides_endpoint(self, monkeypatch, synthetic_files, tmp_path):
         files = synthetic_files

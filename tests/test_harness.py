@@ -570,6 +570,20 @@ class TestTokenAccuracy:
         with pytest.raises(KeyError):
             token_accuracy([], [TokenExpectation("ghost")])
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "b", "passages": [', "malformed JSON: Expecting value"),
+        ('{"id": "b"', "malformed JSON: Expecting ',' delimiter"),
+        ('["b"]', "an expectation must be a JSON object with an 'id'"),
+        ('"b"', "an expectation must be a JSON object with an 'id'"),
+        ('{"expected_decision": "<RET>"}', "an expectation must be a JSON object with an 'id'"),
+    ])
+    def test_load_expectations_names_the_file_and_line_of_a_bad_line(self, tmp_path, line, message):
+        path = tmp_path / "exp.jsonl"
+        path.write_text('{"id": "a"}\n\n' + line + "\n")
+        with pytest.raises(ValueError) as exc_info:
+            load_expectations(path)
+        assert str(exc_info.value).startswith(f"{path}: line 3: {message}")
+
     def test_load_expectations(self, tmp_path):
         path = tmp_path / "exp.jsonl"
         path.write_text(

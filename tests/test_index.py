@@ -611,6 +611,29 @@ def test_load_index_rejects_a_non_finite_entry(tmp_path):
         load_index(tmp_path / "idx.jsonl")
 
 
+def test_load_index_maps_the_sidecar_read_only(tmp_path):
+    rows = np.random.default_rng(41).standard_normal((300, 16))
+    path = save_index(make_index(rows.tolist(), [f"d{i}" for i in range(300)]),
+                      tmp_path / "idx.jsonl")
+    loaded = load_index(path)
+    assert not loaded.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        loaded.matrix[0, 0] = 0.0
+    rows = np.fromfile(tmp_path / "idx.vec", dtype="<f4").reshape(300, 16)
+    assert loaded.matrix.dtype == rows.dtype
+    assert loaded.matrix.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0\0", b"\0\0\0", b"\0" * 4])
+def test_load_index_rejects_a_sidecar_not_exactly_count_by_dim_floats(tmp_path, extra):
+    path = save_index(make_index(np.eye(3).tolist(), ["a", "b", "c"]), tmp_path / "idx.jsonl")
+    vec = tmp_path / "idx.vec"
+    vec.write_bytes(vec.read_bytes() + extra)
+    with pytest.raises(ValueError) as exc_info:
+        load_index(path)
+    assert str(exc_info.value) == f"{path}: sidecar size mismatch"
+
+
 class TestIndexRows:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -166,6 +166,18 @@ def test_sidecar_size_mismatch(tmp_path):
         load_kb(path)
 
 
+@pytest.mark.parametrize("extra, held", [
+    (b"\0", "9 bytes"), (b"\0\0", "10 bytes"), (b"\0\0\0", "11 bytes"), (b"\0" * 4, "3 floats"),
+])
+def test_sidecar_must_be_exactly_count_by_dim_floats(tmp_path, extra, held):
+    path = write_kb_file(tmp_path / "kb.jsonl", [doc_record("a", embedding=None)], dim=2,
+                         manifest={"embeddings": "sidecar"})
+    sidecar_path(path).write_bytes(np.asarray([1.0, 0.0], dtype="<f4").tobytes() + extra)
+    with pytest.raises(KBLoadError) as exc_info:
+        load_kb(path)
+    assert str(exc_info.value) == f"line 1: sidecar holds {held}, expected 1x2"
+
+
 def write_sidecar_kb(tmp_path, rows, docs=None):
     """A sidecar KB with one document per row of ``rows``."""
     docs = docs or [doc_record(f"d{i}", embedding=None) for i in range(len(rows))]

@@ -174,6 +174,33 @@ def test_an_inline_embedding_that_is_not_a_flat_list_of_numbers_names_the_line(
     )
 
 
+@pytest.mark.parametrize("line, message", [
+    ("[1, 2]", "a sample must be a JSON object"),
+    ('"s1"', "a sample must be a JSON object"),
+    ("null", "a sample must be a JSON object"),
+    ('{"question": "q?", "image_ref": "i"}', "missing required key 'id'"),
+    ('{"id": "s1", "image_ref": "i"}', "missing required key 'question'"),
+    ('{"id": "s1", "question": "q?"}', "missing required key 'image_ref'"),
+])
+def test_a_line_that_is_not_a_sample_names_the_path_and_the_line(tmp_path, line, message):
+    path = write_inline([sample(0)], tmp_path / "d.jsonl")
+    path.write_text(path.read_text() + "\n" + line + "\n")
+    with pytest.raises(SampleError) as exc_info:
+        load_samples(path)
+    assert str(exc_info.value) == f"{path}: line 3: {message}"
+
+
+def test_eval_exits_2_naming_the_line_that_is_not_a_sample(forms, tmp_path, capsys):
+    root, datasets = forms
+    dataset = tmp_path / "d.jsonl"
+    dataset.write_text(datasets["inline"].read_text() + "[1, 2]\n")
+    line_no = len(dataset.read_text().splitlines())
+    assert run(["eval", "--kb", root / "kb.jsonl", "--index", root / "index.jsonl",
+                "--dataset", dataset, "--backend", "rule", "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: {dataset}: line {line_no}: a sample must be a JSON object\n")
+
+
 def test_a_dataset_byte_that_is_not_utf8_names_the_path_and_the_line(tmp_path):
     path = write_inline([sample(0), sample(1)], tmp_path / "d.jsonl")
     path.write_bytes(path.read_bytes().replace(b"question 1", b"question \xff"))
@@ -237,3 +264,22 @@ def test_stage2_mining_writes_the_same_sequences_from_both_forms(forms, tmp_path
                     "--seed", 17, "--out", tmp_path / form]) == 0
     for name in ("stage2_sequences.jsonl", "stage2_accounting.json"):
         assert (tmp_path / "sidecar" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_eval_writes_the_same_bytes_from_lines_padded_with_spaces(forms, tmp_path):
+    """Lines with whitespace around the value take json.loads's path, not the
+    scanner's, and decode to the same index and samples."""
+    root, datasets = forms
+    padded = tmp_path / "padded"
+    padded.mkdir()
+    for name in ("index.jsonl", "index.vec", "inline.jsonl"):
+        data = (root / name).read_bytes()
+        if name.endswith(".jsonl"):
+            data = b"".join(b" " + line + b" \n" for line in data.splitlines())
+        (padded / name).write_bytes(data)
+    for form, index, dataset in (("plain", root / "index.jsonl", datasets["inline"]),
+                                 ("padded", padded / "index.jsonl", padded / "inline.jsonl")):
+        assert run(["eval", "--kb", root / "kb.jsonl", "--index", index, "--dataset", dataset,
+                    "--backend", "rule", "--variants", FIVE_VARIANTS, "--no-timings",
+                    "--out", tmp_path / f"out-{form}"]) == 0
+    assert_same_outputs(tmp_path / "out-plain", tmp_path / "out-padded")
