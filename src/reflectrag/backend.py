@@ -44,6 +44,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 from ._http import MalformedResponseError, RemoteServiceError, ServiceClient, TransportError
 from .prompts import PromptSegment, SegmentKind, prompt_fingerprint
 from .tokens import CONTROL_TOKENS
+from .util import is_json_numbers
 
 logger = logging.getLogger(__name__)
 
@@ -320,11 +321,18 @@ def load_script_file(backend: MockBackend, path: str | Path) -> int:
     "tokens": [...], "candidates": [{tok: logprob}, ...] | null}`` where
     ``match`` may combine ``user_text``, ``user_text_contains``,
     ``passage_contains`` and ``fingerprint`` conditions (all must hold).
+    A malformed file or entry raises :class:`ScriptError` naming the path and
+    the entry's index.
     """
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        entries = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ScriptError(f"{path}: malformed JSON: {exc}") from None
     if not isinstance(entries, list):
         raise ScriptError(f"{path}: script file must contain a JSON list")
     for i, entry in enumerate(entries):
+        if problem := _script_entry_problem(entry):
+            raise ScriptError(f"{path}: entry {i}: {problem}")
         match_spec = entry.get("match", {})
         matchers: list[PromptMatcher] = []
         if "user_text" in match_spec:
@@ -342,12 +350,33 @@ def load_script_file(backend: MockBackend, path: str | Path) -> int:
             tokens=tuple(entry["tokens"]),
             candidates=None
             if candidates is None
-            else tuple({str(k): float(v) for k, v in c.items()} for c in candidates),
+            else tuple({k: float(v) for k, v in c.items()} for c in candidates),
         )
         backend.register_script(
             match_all(*matchers), response, allowed=entry.get("allowed")
         )
     return len(entries)
+
+
+def _script_entry_problem(entry) -> str | None:
+    """What is wrong with the shape of a script file's entry, if anything.
+    Types are exact, as :func:`_json_typed` checks them."""
+    if type(entry) is not dict:
+        return "an entry must be a JSON object"
+    if type(entry.get("match", {})) is not dict:
+        return "match must be a JSON object"
+    strs = lambda v: type(v) is list and set(map(type, v)) <= {str}  # noqa: E731
+    if not strs(entry.get("tokens")):
+        return "tokens must be a list of strings"
+    if entry.get("allowed") is not None and not strs(entry["allowed"]):
+        return "allowed must be null or a list of strings"
+    candidates = entry.get("candidates")
+    if candidates is not None and not (
+        type(candidates) is list
+        and all(type(c) is dict and is_json_numbers([*c.values()]) for c in candidates)
+    ):
+        return "candidates must be null or a list of objects of JSON numbers"
+    return None
 
 
 # --------------------------------------------------------------------------

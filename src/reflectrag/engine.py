@@ -37,7 +37,7 @@ from .prompts import PromptSegment, PromptStage, build_prompt as build_prompt_se
 from .samples import QuerySample
 from .similarity import TextSimilarityScorer
 from .tokens import DECISION_TOKENS, RELEVANCE_TOKENS, ReflectiveToken
-from .util import atomic_write_bytes, dataclass_from_dict, dataclass_to_dict, json_line
+from .util import atomic_write_bytes, dataclass_to_dict, json_line
 
 logger = logging.getLogger(__name__)
 
@@ -116,11 +116,6 @@ class PipelineConfig:
         """:meth:`to_dict`, made once per config and shared by every trace
         of it, so it must not be modified."""
         return self.to_dict()
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> PipelineConfig:
-        """Inverse of :meth:`to_dict`; missing keys take the defaults."""
-        return dataclass_from_dict(cls, obj)
 
 
 @dataclass(frozen=True)
@@ -727,25 +722,12 @@ def trace_to_dict(trace: PipelineTrace, include_timings: bool = True) -> dict:
 
 
 def write_traces(
-    traces: Sequence[PipelineTrace | dict],
-    path: str | Path,
-    include_timings: bool = True,
+    traces: Sequence[PipelineTrace], path: str | Path, include_timings: bool = True
 ) -> Path:
-    """One line per trace: :func:`trace_line` of a trace, the parts that
-    traces share encoded once, or :func:`json_line` of a dict."""
+    """One :func:`trace_line` per trace, the parts that traces share encoded
+    once."""
     fragments: dict = {}
-    text = "".join(
-        (json_line(t) if isinstance(t, dict) else trace_line(t, include_timings, fragments))
-        + "\n"
-        for t in traces
-    )
+    text = "".join(trace_line(t, include_timings, fragments) + "\n" for t in traces)
     atomic_write_bytes(path, text.encode("utf-8"))
     return Path(path)
 
-
-def read_trace_dicts(path: str | Path) -> list[dict]:
-    return [
-        json.loads(line)
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]

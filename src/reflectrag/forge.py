@@ -16,7 +16,6 @@ whatever trainer consumes these files.
 """
 from __future__ import annotations
 
-import json
 import logging
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -489,28 +488,8 @@ def sequence_to_dict(seq: TrainingSequence) -> dict:
     }
 
 
-def sequence_from_dict(obj: dict) -> TrainingSequence:
-    return TrainingSequence(
-        kind=SequenceKind(obj["kind"]),
-        sample_id=str(obj.get("sample_id", "")),
-        dataset=str(obj.get("dataset", "unknown")),
-        segments=tuple(
-            SequenceSegment(kind=s["kind"], payload=s["payload"])
-            for s in obj["segments"]
-        ),
-        loss_mask=tuple(bool(b) for b in obj["loss_mask"]),
-    )
-
-
 def save_sequences(sequences: Sequence[TrainingSequence], path: str | Path) -> Path:
     lines = [json_line(sequence_to_dict(s)) for s in sequences]
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return Path(path)
 
-
-def load_sequences(path: str | Path) -> list[TrainingSequence]:
-    return [
-        sequence_from_dict(json.loads(line))
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]

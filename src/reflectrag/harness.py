@@ -1,9 +1,9 @@
 """Batch evaluation: scoring, split aggregation, token accuracy, ablations.
 
-Scoring reads only the fields a trace line carries (:func:`score_fields`),
-taken from the trace object in a fresh run and from the line when a trace
-file is re-scored; both give the same dict, so re-scoring is guaranteed
-pure. Report assembly is a deterministic fold ordered by sample id.
+Scoring reads only the fields a trace line carries, taken from the trace
+object in a fresh run and from the line when a trace file is re-scored;
+both give the same dict, so re-scoring is guaranteed pure. Report assembly
+is a deterministic fold ordered by sample id.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .engine import (
     ReflectiveEngine,
     SelectionMode,
     trace_line,
-    trace_to_dict,
 )
 from .metrics import (
     MetricScore,
@@ -34,7 +33,7 @@ from .metrics import (
     vqa_accuracy,
 )
 from .samples import QuerySample
-from .tokens import ReflectiveToken
+from .tokens import DECISION_TOKENS, ReflectiveToken
 from .util import atomic_write_text, decode_utf8, json_line, json_value
 
 logger = logging.getLogger(__name__)
@@ -210,21 +209,8 @@ def evaluate_traces(
     )
 
 
-def score_fields(trace: dict) -> dict:
-    """The fields of a trace dict that :func:`evaluate_traces` reads."""
-    return {
-        "sample_id": trace["sample_id"],
-        "decision": {"token": trace["decision"]["token"]},
-        "forced": trace["forced"],
-        "selected": trace["selected"],
-        "answer": trace["answer"],
-        "fallback": trace["fallback"],
-        "judge_failures": trace["judge_failures"],
-    }
-
-
 def _score_fields_of(t: PipelineTrace) -> dict:
-    """:func:`score_fields` of ``trace_to_dict(t)``, read from the trace."""
+    """The fields of ``t``'s trace line that :func:`evaluate_traces` reads."""
     return {
         "sample_id": t.sample_id,
         "decision": {"token": t.decision.token},
@@ -239,7 +225,7 @@ def _score_fields_of(t: PipelineTrace) -> dict:
 @dataclass(frozen=True)
 class EvalRun:
     report: EvalReport
-    traces: list[dict]  # empty when the run streamed its traces to a sink
+    traces: list[PipelineTrace]  # empty when the run streamed its traces to a sink
     failures: list[tuple[str, str]]
 
 
@@ -268,11 +254,11 @@ def evaluate_configs(
     searches the index for every sample that can, in one batch shared among
     ``jobs`` threads on either path (:meth:`ReflectiveEngine.with_batched_search`).
 
-    Without ``sinks`` each run keeps its trace dicts. With them, config i's
+    Without ``sinks`` each run keeps its traces. With them, config i's
     trace lines (:func:`trace_line`, newline-terminated, written in the task
     with one fragment table per sample) go to ``sinks[i]`` as samples
-    complete, or nowhere when it is ``None``. Only :func:`score_fields` of
-    each trace, read from the trace object, is held for scoring.
+    complete, or nowhere when it is ``None``. Only the fields scoring reads
+    (:func:`_score_fields_of`) are held for scoring.
     """
     ordered = sorted(samples, key=lambda s: s.id)
     engine = engine.with_batched_search(ordered, jobs)
@@ -292,7 +278,7 @@ def evaluate_configs(
             except Exception as exc:  # noqa: BLE001 - failures become the manifest
                 outcomes.append(f"{type(exc).__name__}: {exc}")
             else:
-                kept = trace_to_dict(trace, include_timings) if sinks is None else (
+                kept = trace if sinks is None else (
                     trace_line(trace, include_timings, fragments) if sinks[i] else None
                 )
                 outcomes.append((kept, _score_fields_of(trace)))
@@ -345,11 +331,10 @@ def evaluate_dataset(
     config: PipelineConfig,
     jobs: int = 1,
     rel_tol: float = 0.05,
-    include_timings: bool = True,
 ) -> EvalRun:
     """Run the pipeline over a dataset and score it: the one-config case of
-    :func:`evaluate_configs`, keeping the trace dicts."""
-    [run] = evaluate_configs(engine, samples, [config], jobs, rel_tol, include_timings)
+    :func:`evaluate_configs`, keeping the traces."""
+    [run] = evaluate_configs(engine, samples, [config], jobs, rel_tol)
     return run
 
 
@@ -378,41 +363,52 @@ class TokenExpectation:
     passages: tuple[PassageExpectation, ...] = ()
 
 
+def _passage_expectation(p, field: str) -> PassageExpectation:
+    if type(p) is not dict:
+        raise ValueError(f"{field} must be a JSON object")
+    if type(p.get("doc_id")) is not str or not p["doc_id"]:
+        raise ValueError(f"{field}.doc_id must be a non-empty string")
+    if type(p.get("section_index")) is not int:
+        raise ValueError(f"{field}.section_index must be an integer")
+    if p.get("difficulty") not in PASSAGE_DIFFICULTIES:
+        raise ValueError(f"{field}.difficulty must be one of {', '.join(PASSAGE_DIFFICULTIES)}")
+    return PassageExpectation(p["doc_id"], p["section_index"], p["difficulty"])
+
+
 def load_expectations(path: str | Path) -> list[TokenExpectation]:
-    """The expectations of a JSONL file; a line that is not a JSON object with
-    an ``id`` raises ``ValueError`` naming the file and its 1-based line."""
+    """The expectations of a JSONL file. A line that is not a JSON object with
+    an ``id``, repeats an earlier ``id`` or has a malformed field raises
+    ``ValueError`` naming the file, its 1-based line and the field."""
     path = Path(path)
-    out = []
+    out: dict[str, TokenExpectation] = {}
     lines = decode_utf8(path.read_bytes(), path, ValueError).splitlines()
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             obj = json_value(line)
+            if type(obj) is not dict or "id" not in obj:
+                raise ValueError("an expectation must be a JSON object with an 'id'")
+            sample_id, decision = str(obj["id"]), obj.get("expected_decision")
+            passages = obj.get("passages", [])
+            if sample_id in out:
+                raise ValueError(f"id {sample_id!r} repeats an earlier line's")
+            if decision not in (None, *DECISION_TOKENS):
+                raise ValueError("expected_decision must be null, '<RET>' or '<NORET>'")
+            if type(passages) is not list:
+                raise ValueError("passages must be a list")
+            out[sample_id] = TokenExpectation(sample_id, decision, tuple(
+                _passage_expectation(p, f"passages[{i}]") for i, p in enumerate(passages)
+            ))
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: line {line_no}: malformed JSON: {exc.msg}") from None
-        if type(obj) is not dict or "id" not in obj:
-            raise ValueError(f"{path}: line {line_no}: an expectation must be "
-                             "a JSON object with an 'id'")
-        out.append(
-            TokenExpectation(
-                sample_id=str(obj["id"]),
-                expected_decision=obj.get("expected_decision"),
-                passages=tuple(
-                    PassageExpectation(
-                        doc_id=p["doc_id"],
-                        section_index=int(p["section_index"]),
-                        difficulty=p["difficulty"],
-                    )
-                    for p in obj.get("passages", ())
-                ),
-            )
-        )
-    return out
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return list(out.values())
 
 
 def token_accuracy(
-    trace_dicts: Sequence[dict], expectations: Sequence[TokenExpectation]
+    traces: Sequence[PipelineTrace], expectations: Sequence[TokenExpectation]
 ) -> dict:
     """Accuracy per token class and per passage difficulty.
 
@@ -421,7 +417,7 @@ def token_accuracy(
     soft and hard expect NOREL). Expected passages the trace never judged
     are reported in ``missing_judgments``.
     """
-    traces_by_id = {t["sample_id"]: t for t in trace_dicts}
+    traces_by_id = {t.sample_id: t for t in traces}
     classes = {
         name: {"correct": 0, "total": 0}
         for name in ("ret", "noret", "rel_pos", "norel_soft", "norel_hard")
@@ -438,16 +434,14 @@ def token_accuracy(
             # argmax outcome instead.
             raw = (
                 ReflectiveToken.RET.value
-                if trace["decision"]["logp_ret"] > trace["decision"]["logp_noret"]
+                if trace.decision.logp_ret > trace.decision.logp_noret
                 else ReflectiveToken.NORET.value
             )
             if raw == exp.expected_decision:
                 classes[bucket]["correct"] += 1
         if not exp.passages:
             continue
-        judged = {
-            (j["doc_id"], j["section_index"]): j["token"] for j in trace["judgments"]
-        }
+        judged = {j.passage.key: j.token for j in trace.judgments}
         for pexp in exp.passages:
             token = judged.get((pexp.doc_id, pexp.section_index))
             if token is None:

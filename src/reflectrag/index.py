@@ -482,12 +482,6 @@ class RecallReport:
     num_excluded: int
     excluded: tuple[str, ...]  # one message per excluded query
 
-    def to_json_obj(self) -> list[dict]:
-        return [
-            {"k": e.k, "recall": e.recall, "num_queries": e.num_queries}
-            for e in self.entries
-        ]
-
 
 def _gold_position(index: DenseIndex, gold_doc_id: str) -> int:
     pos = index.positions.get(gold_doc_id)
@@ -545,14 +539,6 @@ def recall_at_k(
     return RecallReport(
         entries=tuple(entries), num_excluded=len(excluded), excluded=tuple(excluded)
     )
-
-
-def save_recall_report(report: RecallReport, path: str | Path) -> Path:
-    atomic_write_bytes(
-        path,
-        (json.dumps(report.to_json_obj(), indent=2) + "\n").encode("utf-8"),
-    )
-    return Path(path)
 
 
 # An index's vectors sit beside it under the same rule as a KB's.

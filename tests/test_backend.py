@@ -188,6 +188,47 @@ def test_load_script_file(tmp_path, plant_scripts_path):
     assert result.tokens == ("<NORET>",)
 
 
+GOOD_ENTRY = {"match": {"user_text": "Q?"}, "tokens": ["<NORET>"]}
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("[5]", "entry 0: an entry must be a JSON object"),
+    ([GOOD_ENTRY, {**GOOD_ENTRY, "match": ["Q?"]}], "entry 1: match must be a JSON object"),
+    ([{"match": {"user_text": "Q?"}}], "entry 0: tokens must be a list of strings"),
+    ([{**GOOD_ENTRY, "tokens": "<NORET>"}], "entry 0: tokens must be a list of strings"),
+    ([{**GOOD_ENTRY, "tokens": [1]}], "entry 0: tokens must be a list of strings"),
+    ([{**GOOD_ENTRY, "allowed": "<RET>"}], "entry 0: allowed must be null or a list of strings"),
+    ([{**GOOD_ENTRY, "allowed": [None]}], "entry 0: allowed must be null or a list of strings"),
+    ([{**GOOD_ENTRY, "candidates": {"<NORET>": 0.0}}],
+     "entry 0: candidates must be null or a list of objects of JSON numbers"),
+    ([{**GOOD_ENTRY, "candidates": [[0.0]]}],
+     "entry 0: candidates must be null or a list of objects of JSON numbers"),
+    ([{**GOOD_ENTRY, "candidates": [{"a": "zz"}]}],
+     "entry 0: candidates must be null or a list of objects of JSON numbers"),
+    ([{**GOOD_ENTRY, "candidates": [{"a": True}]}],
+     "entry 0: candidates must be null or a list of objects of JSON numbers"),
+    ('[{"tokens": ["a"]', "malformed JSON: "),
+])
+def test_load_script_file_names_the_path_and_entry_of_a_bad_entry(tmp_path, entries, message):
+    path = tmp_path / "scripts.json"
+    path.write_text(entries if isinstance(entries, str) else json.dumps(entries))
+    backend = MockBackend()
+    with pytest.raises(ScriptError) as exc_info:
+        load_script_file(backend, path)
+    assert str(exc_info.value).startswith(f"{path}: {message}")
+
+
+def test_load_script_file_takes_integer_candidates(tmp_path):
+    path = tmp_path / "scripts.json"
+    entry = {"match": {"user_text": "What color is the car?"}, "allowed": None,
+             "tokens": ["<NORET>"], "candidates": [{"<NORET>": 0, "<RET>": -40}]}
+    path.write_text(json.dumps([entry]))
+    backend = MockBackend()
+    assert load_script_file(backend, path) == 1
+    result = backend.constrained_generate(DECISION_PROMPT, DECISION_TOKENS, 1)
+    assert result.candidate_logprobs == ({"<NORET>": 0.0, "<RET>": -40.0},)
+
+
 class TestResultValidation:
     def test_spec_example_values_accepted(self):
         result = GenerationResult(

@@ -333,6 +333,44 @@ class TestSweepAndTokenAcc:
         assert report["classes"]["ret"]["accuracy"] == 1.0
         assert report["classes"]["noret"]["accuracy"] == 1.0
 
+    def test_token_acc_over_the_judged_sections_of_gold_documents(self, synthetic_files,
+                                                                  tmp_path):
+        # The rule backend judges a passage REL iff it holds a gold answer.
+        kb = load_kb(synthetic_files.kb)
+        expectations = []
+        for sample in load_samples(synthetic_files.dataset):
+            expectation = {"id": sample.id, "expected_decision": "<NORET>"}
+            if sample.gold_doc_id is not None:
+                expectation["expected_decision"] = "<RET>"
+                expectation["passages"] = [
+                    {"doc_id": sample.gold_doc_id, "section_index": i,
+                     "difficulty": "pos" if any(a in section.text for a in sample.gold_answers)
+                     else "hard"}
+                    for i, section in enumerate(kb.documents[sample.gold_doc_id].sections)
+                ]
+            expectations.append(expectation)
+        path = tmp_path / "expectations.jsonl"
+        path.write_text("".join(json.dumps(e) + "\n" for e in expectations))
+        out = tmp_path / "tok"
+        code = run([
+            "token-acc", "--kb", synthetic_files.kb, "--index", synthetic_files.index,
+            "--dataset", synthetic_files.dataset, "--expectations", path,
+            "--backend", "rule", "--seed", 17, "--out", out,
+        ])
+        assert code == 0
+        report = json.loads((out / "token_accuracy.json").read_text())
+        difficulties = [p["difficulty"] for e in expectations for p in e.get("passages", ())]
+        decisions = [e["expected_decision"] for e in expectations]
+        totals = {
+            "ret": decisions.count("<RET>"), "noret": decisions.count("<NORET>"),
+            "rel_pos": difficulties.count("pos"), "norel_soft": 0,
+            "norel_hard": difficulties.count("hard"),
+        }
+        assert min(totals["rel_pos"], totals["norel_hard"]) > 0
+        assert {k: c["total"] for k, c in report["classes"].items()} == totals
+        assert all(c["accuracy"] == 1.0 for c in report["classes"].values() if c["total"])
+        assert report["missing_judgments"] == 0
+
     def test_token_acc_failed_sample_writes_failure_manifest(self, synthetic_files, tmp_path):
         from reflectrag.samples import sample_to_dict
 

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -19,9 +20,9 @@ from reflectrag.forge import (
     build_stage2_dataset,
     emit_stage1_sequences,
     emit_stage2_sequences,
-    load_sequences,
     mine_stage2_triplet,
     save_sequences,
+    sequence_to_dict,
     shortlist_by_similarity,
 )
 from reflectrag.index import RetrievalMode, build_index
@@ -351,9 +352,9 @@ class TestStage2Sequences:
         sequences, _ = emit_stage2_sequences(triplets, noret, seed=0)
         path = tmp_path / "seqs.jsonl"
         save_sequences(sequences, path)
-        loaded = load_sequences(path)
-        assert loaded == sequences
-        assert [s.loss_mask for s in loaded] == [s.loss_mask for s in sequences]
+        loaded = [json.loads(line) for line in path.read_text().splitlines()]
+        assert loaded == [sequence_to_dict(s) for s in sequences]
+        assert [tuple(d["loss_mask"]) for d in loaded] == [s.loss_mask for s in sequences]
 
     def test_same_seed_same_bytes(self, tmp_path):
         triplets, noret = self.build_inputs(n_triplets=9, n_noret=4)

@@ -8,7 +8,8 @@ from dataclasses import replace
 import pytest
 
 from reflectrag.engine import (
-    PipelineConfig, ReflectiveEngine, read_trace_dicts, trace_line, write_traces,
+    PipelineConfig, PipelineTrace, ReflectiveEngine, RelevanceJudgment, RetrievalDecision,
+    trace_line, trace_to_dict, write_traces,
 )
 from reflectrag.harness import (
     AblationName,
@@ -19,13 +20,14 @@ from reflectrag.harness import (
     evaluate_traces,
     load_expectations,
     reports_to_csv,
-    score_fields,
     token_accuracy,
     variant_config,
 )
 from reflectrag.index import RetrievalMode, build_index
+from reflectrag.kb import Passage
 from reflectrag.similarity import LexicalOverlapScorer
 from reflectrag.synth import RuleBackend, make_synthetic_suite
+from reflectrag.tokens import ReflectiveToken
 from reflectrag.engine import ForcedDecision, RerankConfig, RerankStrategy, SelectionMode
 
 
@@ -66,6 +68,11 @@ class InProcess(Recording):
     in_process = True
 
 
+def kept_lines(run):
+    """The objects of a run's kept traces, without their timings."""
+    return [trace_to_dict(t, include_timings=False) for t in run.traces]
+
+
 def with_backend(engine, backend):
     return ReflectiveEngine(
         backend, kb=engine.kb, index=engine.index,
@@ -94,13 +101,9 @@ class TestEvaluate:
         pooled = Recording(rule_engine.backend)
         # the rule backend runs on the calling thread, the other on a pool
         for engine in (rule_engine, with_backend(rule_engine, pooled)):
-            serial = evaluate_dataset(
-                engine, suite.samples, PipelineConfig(seed=3), jobs=1, include_timings=False
-            )
-            parallel = evaluate_dataset(
-                engine, suite.samples, PipelineConfig(seed=3), jobs=6, include_timings=False
-            )
-            assert serial.traces == parallel.traces
+            serial = evaluate_dataset(engine, suite.samples, PipelineConfig(seed=3), jobs=1)
+            parallel = evaluate_dataset(engine, suite.samples, PipelineConfig(seed=3), jobs=6)
+            assert kept_lines(serial) == kept_lines(parallel)
             assert serial.report.to_dict() == parallel.report.to_dict()
         assert len(pooled.threads) > 1
 
@@ -130,19 +133,15 @@ class TestEvaluate:
 
         monkeypatch.setattr(engine_mod, "search_batch", counting)
         monkeypatch.setattr(engine_mod, "search", per_sample)
-        serial = evaluate_dataset(
-            engine, suite.samples, PipelineConfig(seed=3), include_timings=False
-        )
+        serial = evaluate_dataset(engine, suite.samples, PipelineConfig(seed=3))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches inside the first lookup
         try:
-            run = evaluate_dataset(
-                engine, suite.samples, PipelineConfig(seed=3), jobs=12, include_timings=False
-            )
+            run = evaluate_dataset(engine, suite.samples, PipelineConfig(seed=3), jobs=12)
         finally:
             sys.setswitchinterval(interval)
         assert not run.failures
-        assert run.traces == serial.traces
+        assert kept_lines(run) == kept_lines(serial)
         assert batches == [len(suite.samples)] * 2
         assert workers == [1, 12]  # the burst is shared among the --jobs workers
         no_kb = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
@@ -155,9 +154,9 @@ class TestEvaluate:
             PipelineConfig(top_k_docs=2, seed=3),
             no_kb,
         ]
-        runs = evaluate_configs(engine, suite.samples, configs, jobs=12, include_timings=False)
+        runs = evaluate_configs(engine, suite.samples, configs, jobs=12)
         assert not any(run.failures for run in runs)
-        assert runs[0].traces == serial.traces
+        assert kept_lines(runs[0]) == kept_lines(serial)
         assert batches == [len(suite.samples)] * 4
         monkeypatch.undo()
 
@@ -175,7 +174,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(engine_mod, "search_batch", recording)
         run = evaluate_dataset(with_backend(rule_engine, backend), suite.samples,
-                               PipelineConfig(seed=3), jobs=4, include_timings=False)
+                               PipelineConfig(seed=3), jobs=4)
         assert not run.failures
         assert backend.threads == {threading.get_ident()}
         assert workers == [4]  # the search burst keeps its --jobs threads
@@ -209,13 +208,12 @@ class TestEvaluate:
 
     def test_rescoring_trace_file_is_pure(self, small_run, tmp_path):
         suite, engine = small_run
-        run = evaluate_dataset(
-            engine, suite.samples, PipelineConfig(seed=3), include_timings=False
-        )
+        run = evaluate_dataset(engine, suite.samples, PipelineConfig(seed=3))
         path = tmp_path / "traces.jsonl"
         write_traces(run.traces, path)
-        first = evaluate_traces(read_trace_dicts(path), suite.samples).to_dict()
-        second = evaluate_traces(read_trace_dicts(path), suite.samples).to_dict()
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        first = evaluate_traces(lines, suite.samples).to_dict()
+        second = evaluate_traces(lines, suite.samples).to_dict()
         assert first == second == run.report.to_dict()
 
     def test_mean_aggregation_without_subsets(self, small_run):
@@ -259,13 +257,19 @@ class TestOnePass:
     def test_projection_scores_like_full_traces(self, golden_dir):
         import protocol_suite
 
-        traces = read_trace_dicts(golden_dir / "golden_traces.jsonl")
+        lines = (golden_dir / "golden_traces.jsonl").read_text().splitlines()
+        traces = [json.loads(line) for line in lines]
         samples = [
             scenario.sample(f"ps{i + 1:02d}")
             for i, scenario in enumerate(protocol_suite.scenarios())
         ]
         full = evaluate_traces(traces, samples).to_dict()
-        assert evaluate_traces([score_fields(t) for t in traces], samples).to_dict() == full
+        read = ("sample_id", "forced", "selected", "answer", "fallback", "judge_failures")
+        projected = [
+            {"decision": {"token": t["decision"]["token"]}, **{k: t[k] for k in read}}
+            for t in traces
+        ]
+        assert evaluate_traces(projected, samples).to_dict() == full
 
     def test_failed_judgment_counts_in_every_variant(self):
         import protocol_suite
@@ -280,8 +284,8 @@ class TestOnePass:
             for name in (AblationName.FULL, AblationName.ALWAYS_RET)
         ]
         runs = evaluate_configs(engine, [scenario.sample("ps19")], configs)
-        assert [run.traces[0]["judge_failures"] for run in runs] == [1, 1]
-        assert [len(run.traces[0]["judgments"]) for run in runs] == [1, 1]
+        assert [run.traces[0].judge_failures for run in runs] == [1, 1]
+        assert [len(run.traces[0].judgments) for run in runs] == [1, 1]
         by_stage = [c.allowed for c in backend.calls]
         # The decision, the good judgment and the answer are asked once; the
         # failing judgment is asked again by the second variant.
@@ -310,11 +314,11 @@ class TestOnePass:
         steps = counting(RuleBackend, "constrained_generate")
         scored = counting(harness, "score_answer")
         configs = [variant_config(name, PipelineConfig(seed=3)) for name in AblationName]
-        runs = evaluate_configs(engine, suite.samples, configs, include_timings=False)
+        runs = evaluate_configs(engine, suite.samples, configs)
         assert not any(run.failures for run in runs)
         assert steps and len(prompts) == len(steps)
         golds = {s.id: s.gold_answers for s in suite.samples}
-        distinct = {(t["sample_id"], t["answer"]) for run in runs for t in run.traces}
+        distinct = {(t.sample_id, t.answer) for run in runs for t in run.traces}
         assert len(distinct) < sum(len(run.traces) for run in runs)
         assert sorted(args[:2] for args in scored) == sorted(
             (answer, golds[sid]) for sid, answer in distinct
@@ -331,10 +335,10 @@ class TestOnePass:
             engine, suite.samples, configs, jobs=3, include_timings=False,
             sinks=[lines[0].append, lines[1].append],
         )
-        kept = evaluate_configs(engine, suite.samples, configs, include_timings=False)
+        kept = evaluate_configs(engine, suite.samples, configs)
         for i in range(2):
             assert streamed[i].traces == []
-            assert [json.loads(line) for line in lines[i]] == kept[i].traces
+            assert [json.loads(line) for line in lines[i]] == kept_lines(kept[i])
             assert all(line.endswith("}\n") for line in lines[i])
             assert streamed[i].report == kept[i].report
         dropped = evaluate_configs(engine, suite.samples, configs, sinks=[None, None])
@@ -455,8 +459,8 @@ class TestAblations:
         config = variant_config(AblationName.NO_KB, PipelineConfig(seed=3))
         run = evaluate_dataset(engine, suite.samples, config)
         for trace in run.traces:
-            assert trace["selected"] == []
-            assert trace["decision"]["token"] == "<NORET>"
+            assert trace.selected == ()
+            assert trace.decision.token == "<NORET>"
 
     def test_random_variant_takes_two_per_doc(self, small_run):
         suite, engine = small_run
@@ -464,11 +468,11 @@ class TestAblations:
         run = evaluate_dataset(engine, suite.samples, config)
         kb = suite.kb
         for trace in run.traces:
-            if trace["decision"]["token"] != "<RET>":
+            if trace.decision.token != "<RET>":
                 continue
             per_doc: dict[str, int] = {}
-            for ref in trace["selected"]:
-                per_doc[ref["doc_id"]] = per_doc.get(ref["doc_id"], 0) + 1
+            for passage in trace.selected:
+                per_doc[passage.doc_id] = per_doc.get(passage.doc_id, 0) + 1
             for doc_id, count in per_doc.items():
                 assert count == min(2, len(kb.documents[doc_id].sections))
 
@@ -503,23 +507,24 @@ class TestAblations:
 
 class TestTokenAccuracy:
     def trace(self, sample_id, logp_ret, logp_noret, judgments=()):
-        return {
-            "sample_id": sample_id,
-            "decision": {
-                "token": "<RET>" if logp_ret > logp_noret else "<NORET>",
-                "logp_ret": logp_ret,
-                "logp_noret": logp_noret,
-            },
-            "forced": False,
-            "judgments": [
-                {"doc_id": d, "section_index": i, "token": tok}
+        token = ReflectiveToken.RET if logp_ret > logp_noret else ReflectiveToken.NORET
+        return PipelineTrace(
+            sample_id=sample_id,
+            decision=RetrievalDecision(token, logp_ret, logp_noret),
+            forced=False,
+            hits=(),
+            candidates=(),
+            judgments=tuple(
+                RelevanceJudgment(Passage(d, i, ""), ReflectiveToken(tok), 0.0, 0.0)
                 for d, i, tok in judgments
-            ],
-            "selected": [],
-            "fallback": False,
-            "judge_failures": 0,
-            "answer": "",
-        }
+            ),
+            selected=(),
+            answer="",
+            fallback=False,
+            judge_failures=0,
+            timings={},
+            config={},
+        )
 
     def test_confusion_counts(self):
         traces = [
@@ -576,6 +581,26 @@ class TestTokenAccuracy:
         ('["b"]', "an expectation must be a JSON object with an 'id'"),
         ('"b"', "an expectation must be a JSON object with an 'id'"),
         ('{"expected_decision": "<RET>"}', "an expectation must be a JSON object with an 'id'"),
+        ('{"id": "b", "passages": 5}', "passages must be a list"),
+        ('{"id": "b", "passages": [7]}', "passages[0] must be a JSON object"),
+        ('{"id": "b", "passages": [{"section_index": 0, "difficulty": "pos"}]}',
+         "passages[0].doc_id must be a non-empty string"),
+        ('{"id": "b", "passages": [{"doc_id": "", "section_index": 0, "difficulty": "pos"}]}',
+         "passages[0].doc_id must be a non-empty string"),
+        ('{"id": "b", "passages": [{"doc_id": "g", "section_index": 0, "difficulty": "pos"}, '
+         '{"doc_id": "g", "section_index": "a", "difficulty": "pos"}]}',
+         "passages[1].section_index must be an integer"),
+        ('{"id": "b", "passages": [{"doc_id": "g", "section_index": "0", "difficulty": "pos"}]}',
+         "passages[0].section_index must be an integer"),
+        ('{"id": "b", "passages": [{"doc_id": "g", "section_index": true, "difficulty": "pos"}]}',
+         "passages[0].section_index must be an integer"),
+        ('{"id": "b", "passages": [{"doc_id": "g", "section_index": 0, "difficulty": "meh"}]}',
+         "passages[0].difficulty must be one of pos, soft, hard"),
+        ('{"id": "b", "expected_decision": "<FOO>"}',
+         "expected_decision must be null, '<RET>' or '<NORET>'"),
+        ('{"id": "b", "expected_decision": ["<RET>"]}',
+         "expected_decision must be null, '<RET>' or '<NORET>'"),
+        ('{"id": "a"}', "id 'a' repeats an earlier line's"),
     ])
     def test_load_expectations_names_the_file_and_line_of_a_bad_line(self, tmp_path, line, message):
         path = tmp_path / "exp.jsonl"

@@ -1,7 +1,8 @@
 """Every ``reflectrag`` name that ``bench/*.py`` and ``scripts/*.py`` import
 resolves, and so does every attribute that ``bench/tracing.py`` patches, so
 a deletion or rename that breaks the benchmark or a script fails here
-instead of in a benchmark run."""
+instead of in a benchmark run. Every ``reflectrag`` name that README
+names resolves too."""
 import ast
 import importlib
 from pathlib import Path
@@ -89,3 +90,32 @@ def test_traced_seams_resolve():
     assert ("reflectrag.backend.RemoteBackend", "constrained_generate") in seams
     broken = [f"{owner}.{attr}" for owner, attr in seams if not hasattr(resolve(owner), attr)]
     assert broken == []
+
+
+def readme_module_names():
+    """Each backticked ``module.name`` in README whose module is a
+    ``reflectrag`` module, as a dotted path from ``reflectrag``. File names
+    (``kb.jsonl``) and the config fields of ``backend`` (``backend.kind``)
+    are left out."""
+    import dataclasses
+    import pkgutil
+    import re
+
+    import reflectrag
+    from reflectrag.cli import BackendSpec
+
+    modules = {m.name for m in pkgutil.iter_modules(reflectrag.__path__)}
+    fields = {f.name for f in dataclasses.fields(BackendSpec)}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    for token in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", text))):
+        module, _, name = token.removeprefix("reflectrag.").partition(".")
+        is_file = Path(token).suffix in {".py", ".json", ".jsonl", ".npy", ".vec", ".idx"}
+        is_field = module == "backend" and name in fields
+        if module in modules and not (is_file or is_field):
+            yield f"reflectrag.{module}.{name}".rstrip(".")
+
+
+def test_readme_module_names_resolve():
+    names = list(readme_module_names())
+    assert "reflectrag.engine.trace_line" in names
+    assert [name for name in names if resolve(name) is None] == []

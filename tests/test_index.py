@@ -451,21 +451,6 @@ class TestRecall:
         with pytest.raises(ValueError):
             recall_at_k(index, [([1.0, 0.0], "doc0")], ks=[0])
 
-    def test_report_json_schema(self, tmp_path):
-        import json
-
-        from reflectrag.index import save_recall_report
-
-        index = make_index([[1, 0]], ["a"])
-        report = recall_at_k(index, [([1.0, 0.0], "a")], ks=[1, 5])
-        obj = report.to_json_obj()
-        assert obj == [
-            {"k": 1, "recall": 1.0, "num_queries": 1},
-            {"k": 5, "recall": 1.0, "num_queries": 1},
-        ]
-        save_recall_report(report, tmp_path / "recall.json")
-        assert json.loads((tmp_path / "recall.json").read_text()) == obj
-
 
 def screened_index(rows: int, dim: int, dtype=np.float64, *, seed: int):
     """Random unit rows of ``dtype`` with exact copies on both sides of every
